@@ -279,15 +279,15 @@ let simulate_cmd =
 
 module Sharded = Dumbnet.Sim.Sharded
 
-let hops_run spec seed shards frames jobs engine =
+let hops_run spec seed shards frames jobs =
   with_topology spec seed (fun built ->
       let g = built.Builder.graph in
-      let sim = Sharded.create ~shards ~engine ~graph:g () in
+      let sim = Sharded.create ~shards ~graph:g () in
       let rng = Dumbnet.Util.Rng.create (seed + 1) in
       let hosts = Array.of_list built.Builder.hosts in
       let n = Array.length hosts in
       (* Every host bursts [frames] frames along one random source route,
-         lightly staggered so the event heap sees realistic interleaving. *)
+         lightly staggered so the scheduler sees realistic interleaving. *)
       Array.iter
         (fun src ->
           let rec pick tries =
@@ -315,13 +315,11 @@ let hops_run spec seed shards frames jobs engine =
       let part = Sharded.partition sim in
       let st = Sharded.stats sim in
       Printf.printf
-        "engine:         %s\n\
-         shards:         %d (sizes: %s; cut cables: %d)\n\
+        "shards:         %d (sizes: %s; cut cables: %d)\n\
          lookahead:      %d ns\n\
          injected:       %d\ndelivered:      %d\nswitch hops:    %d\n\
          queue drops:    %d\ndataplane drops:%d\n\
          digest:         %016x\nwall time:      %.3f s\nhops/sec:       %.0f\n"
-        (Sharded.engine_kind_name (Sharded.engine_kind sim))
         (Sharded.shards sim)
         (String.concat ", "
            (Array.to_list (Array.map string_of_int part.Partition.sizes)))
@@ -335,8 +333,8 @@ let hops_run spec seed shards frames jobs engine =
 let shards_arg =
   let doc =
     "Engine shards: the topology is partitioned into N regions, each with its own \
-     event heap and frame pool (answers are byte-identical whatever N). Defaults to \
-     \\$(b,DUMBNET_SHARDS) or 1; 1 uses the single-heap fast path."
+     timing wheel and frame pool (answers are byte-identical whatever N). Defaults to \
+     \\$(b,DUMBNET_SHARDS) or 1; 1 uses the single-wheel fast path."
   in
   Arg.(value & opt int (Sharded.default_shards ()) & info [ "shards" ] ~docv:"N" ~doc)
 
@@ -345,35 +343,13 @@ let frames_arg =
     value & opt int 20
     & info [ "frames" ] ~docv:"N" ~doc:"Data frames injected per host (default 20).")
 
-let engine_arg =
-  let engine_conv =
-    Arg.conv
-      ( (fun s ->
-          match Sharded.engine_kind_of_string s with
-          | Some k -> Ok k
-          | None -> Error (`Msg "expected heap, wheel, or wheel-nochain")),
-        fun ppf k -> Format.pp_print_string ppf (Sharded.engine_kind_name k) )
-  in
-  let doc =
-    "Per-shard scheduler: $(b,heap) (binary heap), $(b,wheel) (hierarchical timing \
-     wheel with run-to-next-conflict hop chaining), or $(b,wheel-nochain) (wheel \
-     alone). Digests are byte-identical across engines. Defaults to \
-     \\$(b,DUMBNET_ENGINE) or heap."
-  in
-  Arg.(
-    value
-    & opt engine_conv (Sharded.default_engine ())
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
 let hops_cmd =
   Cmd.v
     (Cmd.info "hops"
        ~doc:
          "Blast source-routed frames through the sharded packet engine and report \
           hop throughput, drop counters, and the delivery digest.")
-    Term.(
-      const hops_run $ topo_arg $ seed_arg $ shards_arg $ frames_arg $ jobs_arg
-      $ engine_arg)
+    Term.(const hops_run $ topo_arg $ seed_arg $ shards_arg $ frames_arg $ jobs_arg)
 
 (* --- repair subcommand --- *)
 

@@ -92,8 +92,6 @@ let default_config =
       [
         "Dataplane.handle";
         "Sharded.run";
-        "Sharded.drain_wheel_chain";
-        "Sharded.chain_ok";
         "Engine.run";
         "Frame.to_bytes";
         "Frame.of_bytes";

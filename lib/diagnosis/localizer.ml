@@ -124,8 +124,11 @@ let diagnose ?path ?(max_batches = 4) t ~dst ~on_done =
           List.init (k - 2) (fun i -> legs.(k - 3 - i).Prober.leg_to.port) @ [ src_port ]
       in
       (* A returned probe's outbound stamps, positions 0..k-1, must name
-         the intended switches; the first mismatch reads the true
-         identity of whatever the cable into that hop now lands on. *)
+         the intended switches, and the bounce stamp at k-1 (which
+         records the port the probe came in on) the intended ingress;
+         the first mismatch reads the true landing point of whatever
+         the cable into that hop now reaches — possibly the expected
+         switch through another port. *)
       let scan_miswire outcomes =
         let rec scan_chain k i stamps =
           match stamps with
@@ -134,7 +137,10 @@ let diagnose ?path ?(max_batches = 4) t ~dst ~on_done =
             if i >= k then None
             else begin
               let exp_sw, _ = hops.(i) in
-              if st.Int_stamp.switch = exp_sw then scan_chain k (i + 1) rest
+              let port_ok =
+                i = 0 || i < k - 1 || st.Int_stamp.port = legs.(i - 1).Prober.leg_to.port
+              in
+              if st.Int_stamp.switch = exp_sw && port_ok then scan_chain k (i + 1) rest
               else if i = 0 then
                 (* Our own access cable delivers to a foreign switch:
                    real, but nothing on the path names its far end. *)

@@ -20,10 +20,12 @@
 
     Reading a batch:
 
-    - Probes whose stamp chain names a wrong switch at position [i]
-      identify a {e miswiring} of the cable into hop [i+1]; the stamp
-      itself carries the impostor's true identity (the bounce stamps
-      its ingress port, which is exactly where our cable now lands).
+    - Probes whose stamp chain names a wrong switch at position [i],
+      or whose bounce stamp names the right switch but the wrong
+      ingress port, identify a {e miswiring} of the cable into hop
+      [i+1]; the stamp itself carries the true landing point (the
+      bounce stamps its ingress port, which is exactly where our cable
+      now lands).
     - A clean contiguous prefix — probes [1..r] return, [r+1..n] do
       not — indicts the single cable [r -> r+1]. One confirming batch
       with the same signature upgrades it to a {e silent drop} verdict

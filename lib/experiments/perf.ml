@@ -82,19 +82,11 @@ let committed : (string * float) list =
     ("pathgraph_batch_per_sec_fat_tree_k8_jobs1", 19338.);
     ("pathgraph_batch_per_sec_jellyfish_64_jobs1", 21003.);
     ("failure_events_per_sec_fat_tree_k8_jobs1", 6.5);
-    (* Scheduler comparison rows (PR 10, drain-only timing, best of
-       >= 3 repetitions). Besides the usual regression gate, the
-       fat-tree wheel row carries the tentpole floor: >= 2x the
-       committed shards=1 heap baseline. *)
-    ("sim_hops_per_sec_fat_tree_k8_shards1_heap", 4001470.);
-    ("sim_hops_per_sec_fat_tree_k8_shards1_wheel_nochain", 7414266.);
-    ("sim_hops_per_sec_fat_tree_k8_shards1_wheel", 6854285.);
-    ("sim_hops_per_sec_jellyfish_64_shards1_heap", 3763903.);
-    ("sim_hops_per_sec_jellyfish_64_shards1_wheel_nochain", 6685703.);
-    ("sim_hops_per_sec_jellyfish_64_shards1_wheel", 7494630.);
-    ("sim_hops_per_sec_jellyfish_1024_shards1_heap", 2851550.);
-    ("sim_hops_per_sec_jellyfish_1024_shards1_wheel_nochain", 2895283.);
-    ("sim_hops_per_sec_jellyfish_1024_shards1_wheel", 2899617.);
+    (* Drain-only rows (shards=1, best of >= 3 repetitions), one per
+       topology, on the timing wheel. *)
+    ("sim_drain_hops_per_sec_fat_tree_k8", 7414266.);
+    ("sim_drain_hops_per_sec_jellyfish_64", 6685703.);
+    ("sim_drain_hops_per_sec_jellyfish_1024", 2895283.);
   ]
 
 let max_regression =
@@ -298,7 +290,7 @@ let failure_convergence_bench built =
 (* Every host fires a burst of data frames along a precomputed source
    route; we charge the wall-clock cost of draining the event queue to
    the switch hops it performed. Since PR 7 the workload runs on the
-   sharded engine ([Dumbnet_sim.Sharded]); shards=1 is its single-heap
+   sharded engine ([Dumbnet_sim.Sharded]); shards=1 is its single-wheel
    fast path and the row every earlier PR's number compares against. *)
 let sim_routes built =
   let g = built.Builder.graph in
@@ -319,8 +311,8 @@ let sim_routes built =
          in
          pick_dst 5)
 
-let sharded_run_hops ?pool ?engine ~shards built routes ~frames_per_host =
-  let sim = Sharded.create ~shards ?engine ~graph:built.Builder.graph () in
+let sharded_run_hops ?pool ~shards built routes ~frames_per_host =
+  let sim = Sharded.create ~shards ~graph:built.Builder.graph () in
   List.iter
     (fun (src, dst, tags) ->
       for _ = 1 to frames_per_host do
@@ -330,9 +322,9 @@ let sharded_run_hops ?pool ?engine ~shards built routes ~frames_per_host =
   Sharded.run ?pool sim;
   Sharded.hops sim
 
-let sim_hops_bench ?pool ?engine ?(shards = 1) ~name built ~frames_per_host =
+let sim_hops_bench ?pool ?(shards = 1) ~name built ~frames_per_host =
   let routes = sim_routes built in
-  ignore (sharded_run_hops ?pool ?engine ~shards built routes ~frames_per_host);
+  ignore (sharded_run_hops ?pool ~shards built routes ~frames_per_host);
   (* Best-of-repetition, each repetition setup-inclusive (create +
      inject + run): the shards>1 sequential-emulation rows sit within
      ~10% of shards=1, so a mean over the budget is hostage to
@@ -345,7 +337,7 @@ let sim_hops_bench ?pool ?engine ?(shards = 1) ~name built ~frames_per_host =
   let runs = ref 0 in
   while !runs < 3 || !elapsed < budget_s () do
     let r0 = Unix.gettimeofday () in
-    let hops = sharded_run_hops ?pool ?engine ~shards built routes ~frames_per_host in
+    let hops = sharded_run_hops ?pool ~shards built routes ~frames_per_host in
     let r1 = Unix.gettimeofday () in
     let ops = float_of_int hops /. (r1 -. r0) in
     if ops > !best then best := ops;
@@ -354,41 +346,24 @@ let sim_hops_bench ?pool ?engine ?(shards = 1) ~name built ~frames_per_host =
   done;
   (name, !best)
 
-(* --- per-shard scheduler comparison: heap vs wheel vs wheel+chaining -- *)
+(* --- drain-only hops/sec ------------------------------------------------ *)
 
-(* The engine rows pin the scheduler explicitly (ignoring
-   DUMBNET_ENGINE) so the comparison is always the same three points:
-   the binary heap, the hierarchical timing wheel alone, and the wheel
-   with run-to-next-conflict hop chaining. All at shards=1 — the
-   scheduler swap and the sharding curve are orthogonal axes, and
-   shards=1 is the scheduling-free row the gate can trust. Digests are
-   byte-identical across all three (property-tested), so rows differ
-   only in wall clock. *)
-let engines =
-  [
-    ("heap", Sharded.Heap_sched);
-    ("wheel_nochain", Sharded.Wheel_sched);
-    ("wheel", Sharded.Wheel_chain);
-  ]
-
-let engine_metric_name topo eng = Printf.sprintf "sim_hops_per_sec_%s_shards1_%s" topo eng
+let drain_metric_name topo = Printf.sprintf "sim_drain_hops_per_sec_%s" topo
 
 (* Unlike the legacy sim rows (which keep their original
    setup-inclusive methodology so the trajectory stays comparable),
-   the engine rows time the drain alone: graph partitioning, pool
-   sizing, route precompute and injection are identical across
-   schedulers and would otherwise dilute exactly the difference being
-   measured. Each repetition is a fresh simulation; the row is the
-   best repetition, which is what makes the committed 2x floor safe to
-   gate — a transient stall slows one repetition, not the machine's
-   actual per-hop cost. *)
-let sim_drain_bench ?engine built routes ~frames_per_host =
+   these rows time the drain alone at shards=1: graph partitioning,
+   route precompute and injection stay off the clock, so the row is the
+   per-hop cost of the wheel and the forwarding loop. Each repetition
+   is a fresh simulation; the row is the best repetition — a transient
+   stall slows one repetition, not the machine's actual per-hop cost. *)
+let sim_drain_bench built routes ~frames_per_host =
   let best = ref 0. in
   let t0 = Unix.gettimeofday () in
   let elapsed = ref 0. in
   let runs = ref 0 in
   while !runs < 3 || !elapsed < budget_s () do
-    let sim = Sharded.create ~shards:1 ?engine ~graph:built.Builder.graph () in
+    let sim = Sharded.create ~shards:1 ~graph:built.Builder.graph () in
     List.iter
       (fun (src, dst, tags) ->
         for _ = 1 to frames_per_host do
@@ -405,16 +380,11 @@ let sim_drain_bench ?engine built routes ~frames_per_host =
   done;
   !best
 
-let engine_scaling_curve topos =
-  List.concat_map
+let drain_rows topos =
+  List.map
     (fun (topo, built, frames_per_host) ->
-      let routes = sim_routes built in
-      List.map
-        (fun (ename, engine) ->
-          let name = engine_metric_name topo ename in
-          let ops = sim_drain_bench ~engine built routes ~frames_per_host in
-          (name, topo, ename, ops))
-        engines)
+      let ops = sim_drain_bench built (sim_routes built) ~frames_per_host in
+      (drain_metric_name topo, topo, ops))
     topos
 
 (* The sharded-engine scaling curve: shards 1/2/4/8 plus whatever
@@ -495,11 +465,11 @@ let sim_scaling_curve ~topo built ~frames_per_host =
 
 (* Gc.minor_words across one full drain of the shards=1 fast path,
    divided by the hops it performed: the zero-allocation contract of
-   the frame pool + typed-event heap. Injection happens before the
-   first clock read, so only the steady-state loop is on the meter. *)
-let minor_words_bench ?engine built ~frames_per_host =
+   the frame pool + timing wheel. Injection happens before the first
+   counter read, so only the steady-state loop is on the meter. *)
+let minor_words_bench built ~frames_per_host =
   let routes = sim_routes built in
-  let sim = Sharded.create ~shards:1 ?engine ~graph:built.Builder.graph () in
+  let sim = Sharded.create ~shards:1 ~graph:built.Builder.graph () in
   List.iter
     (fun (src, dst, tags) ->
       for _ = 1 to frames_per_host do
@@ -538,7 +508,7 @@ let jobs1_ops rows =
   | Some (_, _, ops) -> ops
   | None -> 0.
 
-let write_json results scaling sim_scaling engine_scaling ~minor_words ~minor_words_wheel conv =
+let write_json results scaling sim_scaling drain ~minor_words conv =
   let oc = open_out json_path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -615,29 +585,18 @@ let write_json results scaling sim_scaling engine_scaling ~minor_words ~minor_wo
   in
   simrows sim_scaling;
   p "  ],\n";
-  p "  \"engine_scaling\": [\n";
-  let heap_ops topo =
-    match
-      List.find_opt (fun (_, t, ename, _) -> t = topo && ename = "heap") engine_scaling
-    with
-    | Some (_, _, _, ops) -> ops
-    | None -> 0.
-  in
-  let rec erows = function
+  p "  \"sim_drain\": [\n";
+  let rec drows = function
     | [] -> ()
-    | (name, topo, ename, ops) :: rest ->
-      let base = heap_ops topo in
-      p "    {\"name\": \"%s\", \"topology\": \"%s\", \"engine\": \"%s\", \
-         \"ops_per_sec\": %.1f, \"speedup_vs_heap\": %.2f}%s\n"
-        name topo ename ops
-        (if base > 0. then ops /. base else 0.)
+    | (name, topo, ops) :: rest ->
+      p "    {\"name\": \"%s\", \"topology\": \"%s\", \"ops_per_sec\": %.1f}%s\n" name topo
+        ops
         (if rest = [] then "" else ",");
-      erows rest
+      drows rest
   in
-  erows engine_scaling;
+  drows drain;
   p "  ],\n";
   p "  \"minor_words_per_hop\": %.4f,\n" minor_words;
-  p "  \"minor_words_per_hop_wheel\": %.4f,\n" minor_words_wheel;
   p "  \"failure_convergence\": {\n";
   p "    \"topology\": \"fat_tree_k8\",\n";
   p "    \"jobs\": 1,\n";
@@ -681,19 +640,13 @@ let display_label = function
   | "codec_roundtrips_per_sec" -> "frame codec round-trips/sec"
   | s -> s
 
-let engine_display = function
-  | "heap" -> "binary heap"
-  | "wheel_nochain" -> "timing wheel"
-  | "wheel" -> "timing wheel + chaining"
-  | s -> s
-
 let topo_display = function
   | "fat_tree_k8" -> "fat tree k=8"
   | "jellyfish_64" -> "Jellyfish 64"
   | "jellyfish_1024" -> "Jellyfish 1024"
   | s -> s
 
-let write_markdown results sim_scaling engine_scaling ~minor_words ~minor_words_wheel =
+let write_markdown results sim_scaling drain ~minor_words =
   let oc = open_out md_path in
   let p fmt = Printf.fprintf oc fmt in
   p "| metric | before (ops/s) | after (ops/s) | speedup |\n";
@@ -723,25 +676,11 @@ let write_markdown results sim_scaling engine_scaling ~minor_words ~minor_words_
         (if base > 0. then Printf.sprintf "%.2fx" (ops /. base) else "—"))
     sim_scaling;
   p "\n";
-  p "Per-shard scheduler (shards=1, identical delivery digests;\n";
-  p "%.2f minor words/hop under the wheel — gate ≤ 1.0):\n" minor_words_wheel;
+  p "Drain-only forwarding loop (shards=1, timing wheel):\n";
   p "\n";
-  p "| topology | scheduler | sim hops/s | vs heap |\n";
-  p "|---|---|---:|---:|\n";
-  let heap_ops topo =
-    match
-      List.find_opt (fun (_, t, ename, _) -> t = topo && ename = "heap") engine_scaling
-    with
-    | Some (_, _, _, ops) -> ops
-    | None -> 0.
-  in
-  List.iter
-    (fun (_, topo, ename, ops) ->
-      let b = heap_ops topo in
-      p "| %s | %s | %s | %s |\n" (topo_display topo) (engine_display ename)
-        (thousands ops)
-        (if b > 0. then Printf.sprintf "%.2fx" (ops /. b) else "—"))
-    engine_scaling;
+  p "| topology | sim hops/s |\n";
+  p "|---|---:|\n";
+  List.iter (fun (_, topo, ops) -> p "| %s | %s |\n" (topo_display topo) (thousands ops)) drain;
   close_out oc
 
 let run () =
@@ -758,18 +697,15 @@ let run () =
     ]
   in
   let sim_scaling = sim_scaling_curve ~topo:"fat_tree_k8" ft8 ~frames_per_host:20 in
-  let engine_scaling =
-    engine_scaling_curve
+  let drain =
+    drain_rows
       [
         ("fat_tree_k8", ft8, 20);
         ("jellyfish_64", jelly, 20);
         ("jellyfish_1024", Builder.jellyfish ~switches:1024 (), 8);
       ]
   in
-  let minor_words = minor_words_bench ~engine:Sharded.Heap_sched ft8 ~frames_per_host:20 in
-  let minor_words_wheel =
-    minor_words_bench ~engine:Sharded.Wheel_chain ft8 ~frames_per_host:20
-  in
+  let minor_words = minor_words_bench ft8 ~frames_per_host:20 in
   let scaling =
     [
       ("fat_tree_k8", batch_curve ~topo:"fat_tree_k8" ft8);
@@ -810,30 +746,9 @@ let run () =
            (if base > 0. then Printf.sprintf "%.2fx" (ops /. base) else "-");
          ])
        sim_scaling);
-  Report.note
-    (Printf.sprintf
-       "per-shard scheduler comparison (shards=1, identical delivery digests; %.2f \
-        minor words/hop under the wheel):"
-       minor_words_wheel);
-  Report.table
-    ~headers:[ "topology"; "scheduler"; "sim hops/s"; "vs heap" ]
-    (let heap_ops topo =
-       match
-         List.find_opt (fun (_, t, ename, _) -> t = topo && ename = "heap") engine_scaling
-       with
-       | Some (_, _, _, ops) -> ops
-       | None -> 0.
-     in
-     List.map
-       (fun (_, topo, ename, ops) ->
-         let b = heap_ops topo in
-         [
-           topo;
-           engine_display ename;
-           Printf.sprintf "%.0f" ops;
-           (if b > 0. then Printf.sprintf "%.2fx" (ops /. b) else "-");
-         ])
-       engine_scaling);
+  Report.note "drain-only forwarding loop (shards=1, timing wheel):";
+  Report.table ~headers:[ "topology"; "sim hops/s" ]
+    (List.map (fun (_, topo, ops) -> [ topo; Printf.sprintf "%.0f" ops ]) drain);
   Report.note
     (Printf.sprintf
        "batched path-graph service, %d-query batches (Topo_store.serve_path_graphs; \
@@ -874,8 +789,8 @@ let run () =
       [ "regen phase/event"; Printf.sprintf "%.2f ms" conv.conv_regen_ms_per_event ];
       [ "push phase/event"; Printf.sprintf "%.2f ms" conv.conv_push_ms_per_event ];
     ];
-  write_json results scaling sim_scaling engine_scaling ~minor_words ~minor_words_wheel conv;
-  write_markdown results sim_scaling engine_scaling ~minor_words ~minor_words_wheel;
+  write_json results scaling sim_scaling drain ~minor_words conv;
+  write_markdown results sim_scaling drain ~minor_words;
   Report.note (Printf.sprintf "wrote %s and %s" json_path md_path);
   if !quick then begin
     (* Gate the sequential metrics plus the scheduling-free jobs=1 /
@@ -890,11 +805,11 @@ let run () =
       @ List.filter_map
           (fun (name, shards, ops, _, _) -> if shards = 1 then Some (name, ops) else None)
           sim_scaling
-      @ List.map (fun (name, _, _, ops) -> (name, ops)) engine_scaling
+      @ List.map (fun (name, _, ops) -> (name, ops)) drain
       @ [ ("failure_events_per_sec_fat_tree_k8_jobs1", conv.conv_events_per_sec) ]
     in
     (* The frame pool's whole point: the steady-state hop loop must not
-       allocate. One word per hop of slack covers heap doublings. *)
+       allocate. One word per hop of slack covers pool and wheel doublings. *)
     if minor_words > 1.0 then begin
       Printf.printf
         "PERF REGRESSION: %.2f minor words per hop in the shards=1 forwarding loop \
@@ -902,38 +817,6 @@ let run () =
         minor_words;
       exit 1
     end;
-    if minor_words_wheel > 1.0 then begin
-      Printf.printf
-        "PERF REGRESSION: %.2f minor words per hop under the wheel engine (budget 1.0) \
-         — the zero-allocation contract broke\n"
-        minor_words_wheel;
-      exit 1
-    end;
-    (* The tentpole's floor: the wheel+chaining engine must clear 2x
-       the committed heap shards=1 baseline on the gated topology, or
-       the scheduler swap has stopped paying for its complexity. The
-       floor carries the same host-noise knob as every other committed
-       gate, normalized so the default (max_regression = 2) keeps the
-       floor exact: CI's loosened DUMBNET_PERF_MAX_REGRESSION scales
-       it down the way it scales every absolute baseline, instead of
-       failing slow shared runners on an uncalibrated constant. *)
-    let wheel_floor =
-      2.0
-      *. assoc "sim_hops_per_sec_fat_tree_k8_shards1" committed
-      *. 2.0 /. max_regression
-    in
-    (match
-       List.find_opt
-         (fun (name, _, _, _) -> name = "sim_hops_per_sec_fat_tree_k8_shards1_wheel")
-         engine_scaling
-     with
-    | Some (_, _, _, ops) when ops < wheel_floor ->
-      Printf.printf
-        "PERF REGRESSION: wheel+chaining engine at %.0f hops/s on fat_tree_k8, below \
-         the 2x-of-heap floor %.0f\n"
-        ops wheel_floor;
-      exit 1
-    | _ -> ());
     (* A shards>1 row drained sequentially still pays partitioning and
        windowing but skips the mailbox serialization (frames transfer
        pool-to-pool); anything below 0.9x of shards=1 means that

@@ -1,28 +1,13 @@
 (* The pending-event queue is the simulator's hottest structure: every
-   switch hop pushes and pops at least one event. Two backends
-   implement the same ordering contract — fire time ascending, then
-   insertion order (FIFO among equal times, with the daemon flag riding
-   below the insertion count so it never reorders):
-
-   - [Heap]: a binary min-heap over three parallel arrays — unboxed int
-     timestamps, unboxed int tie-break sequence numbers (daemon flag in
-     the low bit), and the event closures — so a sift moves machine
-     ints and one pointer, allocates nothing, and never calls a
-     comparison closure. The default.
-
-   - [Wheel]: the hierarchical timing wheel ({!Wheel}), O(1) for the
-     dense near-horizon band. Closures live in a free-listed side table
-     and the wheel carries only their ids, keeping its lanes pure int.
-     Opt in per-engine or process-wide via [DUMBNET_ENGINE=wheel]. *)
+   switch hop pushes and pops at least one event. It is a binary
+   min-heap over three parallel arrays — unboxed int timestamps, unboxed
+   int tie-break sequence numbers (insertion order, with the daemon flag
+   in the low bit so it never reorders), and the event closures — so a
+   sift moves machine ints and one pointer, allocates nothing, and never
+   calls a comparison closure. Order: fire time ascending, then
+   insertion order (FIFO among equal times). *)
 
 let dummy_fn () = ()
-
-type backend = Heap | Wheel
-
-let default_backend () =
-  match Sys.getenv_opt "DUMBNET_ENGINE" with
-  | Some ("wheel" | "wheel-nochain") -> Wheel
-  | Some _ | None -> Heap
 
 type heap = {
   mutable keys : int array; (* fire time, ns *)
@@ -31,42 +16,22 @@ type heap = {
   mutable size : int;
 }
 
-type wstate = {
-  w : Wheel.t;
-  mutable wfns : (unit -> unit) array; (* closure table, wheel carries ids *)
-  mutable wfree : int array; (* free-id stack *)
-  mutable wtop : int;
-}
-
-type sched = Sheap of heap | Swheel of wstate
-
 type t = {
   mutable clock : int;
-  sched : sched;
+  h : heap;
   mutable next_seq : int;
   mutable processed : int;
   mutable regular : int; (* pending non-daemon events *)
 }
 
-let create ?backend () =
-  let backend = match backend with Some b -> b | None -> default_backend () in
-  let sched =
-    match backend with
-    | Heap ->
-      Sheap
-        { keys = Array.make 16 0; seqs = Array.make 16 0; fns = Array.make 16 dummy_fn; size = 0 }
-    | Wheel ->
-      Swheel
-        {
-          w = Wheel.create ();
-          wfns = Array.make 16 dummy_fn;
-          wfree = Array.init 16 (fun i -> 15 - i);
-          wtop = 16;
-        }
-  in
-  { clock = 0; sched; next_seq = 0; processed = 0; regular = 0 }
-
-let backend t = match t.sched with Sheap _ -> Heap | Swheel _ -> Wheel
+let create () =
+  {
+    clock = 0;
+    h = { keys = Array.make 16 0; seqs = Array.make 16 0; fns = Array.make 16 dummy_fn; size = 0 };
+    next_seq = 0;
+    processed = 0;
+    regular = 0;
+  }
 
 let now t = t.clock
 
@@ -116,37 +81,18 @@ let grow h =
   h.seqs <- seqs;
   h.fns <- fns
 
-let[@dumbnet.hot] fn_alloc ws fn =
-  if ws.wtop = 0 then begin
-    let cap = Array.length ws.wfns in
-    ws.wfns <- Array.append ws.wfns (Array.make cap dummy_fn);
-    ws.wfree <- Array.make (2 * cap) 0;
-    for i = 0 to cap - 1 do
-      ws.wfree.(i) <- (2 * cap) - 1 - i
-    done;
-    ws.wtop <- cap
-  end;
-  ws.wtop <- ws.wtop - 1;
-  let id = ws.wfree.(ws.wtop) in
-  ws.wfns.(id) <- fn;
-  id
-
 let[@dumbnet.hot] push t at ~daemon fn =
   let seq = (t.next_seq lsl 1) lor if daemon then 1 else 0 in
   t.next_seq <- t.next_seq + 1;
   if not daemon then t.regular <- t.regular + 1;
-  match t.sched with
-  | Sheap h ->
-    if h.size = Array.length h.keys then grow h;
-    let i = h.size in
-    h.keys.(i) <- at;
-    h.seqs.(i) <- seq;
-    h.fns.(i) <- fn;
-    h.size <- h.size + 1;
-    sift_up h i
-  | Swheel ws ->
-    let id = fn_alloc ws fn in
-    Wheel.push ws.w ~time:at ~k1:seq ~k2:0 ~d0:id ~d1:0
+  let h = t.h in
+  if h.size = Array.length h.keys then grow h;
+  let i = h.size in
+  h.keys.(i) <- at;
+  h.seqs.(i) <- seq;
+  h.fns.(i) <- fn;
+  h.size <- h.size + 1;
+  sift_up h i
 
 let schedule t ~delay_ns f =
   if delay_ns < 0 then invalid_arg "Engine.schedule: negative delay";
@@ -160,7 +106,8 @@ let schedule_daemon t ~delay_ns f =
   if delay_ns < 0 then invalid_arg "Engine.schedule_daemon: negative delay";
   push t (t.clock + delay_ns) ~daemon:true f
 
-let[@dumbnet.hot] run_heap t h ~until_ns ~max_events =
+let[@dumbnet.hot] run ?until_ns ?max_events t =
+  let h = t.h in
   let budget = ref (Option.value max_events ~default:max_int) in
   let continue = ref true in
   while !continue && !budget > 0 do
@@ -188,43 +135,12 @@ let[@dumbnet.hot] run_heap t h ~until_ns ~max_events =
         decr budget;
         fn ()
     end
-  done
-
-let[@dumbnet.hot] run_wheel t ws ~until_ns ~max_events =
-  let budget = ref (Option.value max_events ~default:max_int) in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    if (until_ns = None && t.regular = 0) || not (Wheel.min_ready ws.w) then
-      continue := false
-    else begin
-      let at = Wheel.min_time ws.w in
-      match until_ns with
-      | Some limit when at > limit -> continue := false
-      | Some _ | None ->
-        let daemon = Wheel.min_k1 ws.w land 1 = 1 in
-        let id = Wheel.min_d0 ws.w in
-        Wheel.pop ws.w;
-        let fn = ws.wfns.(id) in
-        ws.wfns.(id) <- dummy_fn;
-        ws.wfree.(ws.wtop) <- id;
-        ws.wtop <- ws.wtop + 1;
-        t.clock <- max t.clock at;
-        t.processed <- t.processed + 1;
-        if not daemon then t.regular <- t.regular - 1;
-        decr budget;
-        fn ()
-    end
-  done
-
-let[@dumbnet.hot] run ?until_ns ?max_events t =
-  (match t.sched with
-  | Sheap h -> run_heap t h ~until_ns ~max_events
-  | Swheel ws -> run_wheel t ws ~until_ns ~max_events);
+  done;
   match until_ns with
   | Some limit when t.clock < limit && Option.is_none max_events -> t.clock <- limit
   | Some _ | None -> ()
 
-let pending t = match t.sched with Sheap h -> h.size | Swheel ws -> Wheel.size ws.w
+let pending t = t.h.size
 
 let pending_regular t = t.regular
 

@@ -3,19 +3,7 @@
 
 type t
 
-type backend =
-  | Heap  (** Binary min-heap over parallel int arrays. The default. *)
-  | Wheel  (** Hierarchical timing wheel ({!Wheel}), O(1) near-horizon. *)
-
-val default_backend : unit -> backend
-(** [Wheel] when [DUMBNET_ENGINE] is ["wheel"] or ["wheel-nochain"],
-    else [Heap]. *)
-
-val create : ?backend:backend -> unit -> t
-(** [backend] defaults to {!default_backend}. Both backends implement
-    the same ordering contract; results are identical. *)
-
-val backend : t -> backend
+val create : unit -> t
 
 val now : t -> int
 (** Current simulated time in nanoseconds. *)

@@ -4,102 +4,6 @@ module Frame_pool = Dumbnet_packet.Frame_pool
 module Constants = Dumbnet_packet.Constants
 module Pool = Dumbnet_util.Pool
 
-(* ------------------------------------------------------------------ *)
-(* Typed-event binary heap: five parallel int arrays, ordered by the
-   partition-invariant key (time, k1, k2). k2 packs the frame's origin
-   (an egress or a host NIC) with that origin's accepted-frame counter,
-   so keys are globally unique and heap extraction order never depends
-   on insertion order — the root of the determinism contract. *)
-
-type heap = {
-  mutable ts : int array; (* arrival time *)
-  mutable a1 : int array; (* k1: charge time at the sending egress *)
-  mutable a2 : int array; (* k2: origin * 2^32 + per-origin counter *)
-  mutable ev : int array; (* (host lsl 1) lor 1, or ((sw lsl 9) lor in_port) lsl 1 *)
-  mutable sl : int array; (* frame-pool slot *)
-  mutable n : int;
-}
-
-let heap_create () =
-  {
-    ts = Array.make 64 0;
-    a1 = Array.make 64 0;
-    a2 = Array.make 64 0;
-    ev = Array.make 64 0;
-    sl = Array.make 64 0;
-    n = 0;
-  }
-
-let heap_less h i j =
-  h.ts.(i) < h.ts.(j)
-  || (h.ts.(i) = h.ts.(j)
-     && (h.a1.(i) < h.a1.(j) || (h.a1.(i) = h.a1.(j) && h.a2.(i) < h.a2.(j))))
-
-let heap_swap h i j =
-  let t = h.ts.(i) in
-  h.ts.(i) <- h.ts.(j);
-  h.ts.(j) <- t;
-  let t = h.a1.(i) in
-  h.a1.(i) <- h.a1.(j);
-  h.a1.(j) <- t;
-  let t = h.a2.(i) in
-  h.a2.(i) <- h.a2.(j);
-  h.a2.(j) <- t;
-  let t = h.ev.(i) in
-  h.ev.(i) <- h.ev.(j);
-  h.ev.(j) <- t;
-  let t = h.sl.(i) in
-  h.sl.(i) <- h.sl.(j);
-  h.sl.(j) <- t
-
-let heap_grow h =
-  let cap = Array.length h.ts in
-  let widen a = Array.append a (Array.make cap 0) in
-  h.ts <- widen h.ts;
-  h.a1 <- widen h.a1;
-  h.a2 <- widen h.a2;
-  h.ev <- widen h.ev;
-  h.sl <- widen h.sl
-
-(* Top-level recursive sifts (not local closures, not refs): the hop
-   loop calls these once per event, and both must stay allocation-free
-   for the zero-minor-words contract. *)
-let rec heap_sift_up h i =
-  if i > 0 && heap_less h i ((i - 1) / 2) then begin
-    heap_swap h i ((i - 1) / 2);
-    heap_sift_up h ((i - 1) / 2)
-  end
-
-let rec heap_sift_down h i =
-  let l = (2 * i) + 1 in
-  let r = (2 * i) + 2 in
-  let m = if l < h.n && heap_less h l i then l else i in
-  let m = if r < h.n && heap_less h r m then r else m in
-  if m <> i then begin
-    heap_swap h i m;
-    heap_sift_down h m
-  end
-
-let heap_push h ~time ~k1 ~k2 ~info ~slot =
-  if h.n = Array.length h.ts then heap_grow h;
-  let i = h.n in
-  h.ts.(i) <- time;
-  h.a1.(i) <- k1;
-  h.a2.(i) <- k2;
-  h.ev.(i) <- info;
-  h.sl.(i) <- slot;
-  h.n <- h.n + 1;
-  heap_sift_up h i
-
-let heap_remove_min h =
-  h.n <- h.n - 1;
-  if h.n > 0 then begin
-    heap_swap h 0 h.n;
-    heap_sift_down h 0
-  end
-
-(* ------------------------------------------------------------------ *)
-
 (* A frame crossing the shard cut, serialized out of the origin pool.
    Allocated only on cut cables under a parallel pool — the sequential
    path moves frames pool-to-pool directly ({!Frame_pool.transfer}). *)
@@ -116,38 +20,28 @@ type msg = {
   m_stamps : int array;
 }
 
-(* Per-shard scheduler: the typed-event heap, or the timing wheel
-   packing the same (info, slot) payload into its two data lanes. *)
-type sched = Sheap of heap | Swheel of Wheel.t
-
 type shard = {
   sid : int;
-  sched : sched;
+  (* Pending events keyed by the partition-invariant (time, k1, k2). k2
+     packs the frame's origin (an egress or a host NIC) with that
+     origin's accepted-frame counter, so keys are globally unique and
+     dequeue order never depends on insertion order — the root of the
+     determinism contract. The two data lanes carry the event's info
+     word ((host lsl 1) lor 1, or ((sw lsl 9) lor in_port) lsl 1) and
+     its frame-pool slot. *)
+  wheel : Wheel.t;
   fpool : Frame_pool.t;
   st : Network.stats;
   out_msgs : msg list array; (* per destination shard, newest first *)
   mutable out_any : bool;
-  (* The event the last [hop] produced (the frame's next hop), parked
-     here instead of pushed so the drain loop can run it inline when it
-     is provably the scheduler minimum (run-to-next-conflict). *)
-  mutable p_any : bool;
-  mutable p_time : int;
-  mutable p_k1 : int;
-  mutable p_k2 : int;
-  mutable p_info : int;
-  mutable p_slot : int;
 }
 
-let[@dumbnet.hot] sched_push sh ~time ~k1 ~k2 ~info ~slot =
-  match sh.sched with
-  | Sheap h -> heap_push h ~time ~k1 ~k2 ~info ~slot
-  | Swheel w -> Wheel.push w ~time ~k1 ~k2 ~d0:info ~d1:slot
+let[@dumbnet.hot] push sh ~time ~k1 ~k2 ~info ~slot =
+  Wheel.push sh.wheel ~time ~k1 ~k2 ~d0:info ~d1:slot
 
 (* Earliest pending time, or [max_int] when idle (window tmin scan). *)
-let[@dumbnet.hot] sched_min_time sh =
-  match sh.sched with
-  | Sheap h -> if h.n > 0 then h.ts.(0) else max_int
-  | Swheel w -> if Wheel.min_ready w then Wheel.min_time w else max_int
+let[@dumbnet.hot] min_time sh =
+  if Wheel.min_ready sh.wheel then Wheel.min_time sh.wheel else max_int
 
 type control = {
   c_time : int;
@@ -156,12 +50,8 @@ type control = {
   c_up : bool;
 }
 
-type engine_kind = Heap_sched | Wheel_sched | Wheel_chain
-
 type t = {
   config : Network.config;
-  engine : engine_kind;
-  chain : bool;
   mutable direct : bool; (* sequential run: cross-shard frames skip mailboxes *)
   nshards : int;
   part : Partition.t;
@@ -204,23 +94,6 @@ let default_shards () =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | Some _ | None -> 1)
   | None -> 1
 
-let default_engine () =
-  match Sys.getenv_opt "DUMBNET_ENGINE" with
-  | Some "wheel" -> Wheel_chain
-  | Some "wheel-nochain" -> Wheel_sched
-  | Some _ | None -> Heap_sched
-
-let engine_kind_of_string = function
-  | "heap" -> Some Heap_sched
-  | "wheel" -> Some Wheel_chain
-  | "wheel-nochain" -> Some Wheel_sched
-  | _ -> None
-
-let engine_kind_name = function
-  | Heap_sched -> "heap"
-  | Wheel_sched -> "wheel-nochain"
-  | Wheel_chain -> "wheel"
-
 let fresh_stats () : Network.stats =
   {
     host_tx = 0;
@@ -235,8 +108,7 @@ let fresh_stats () : Network.stats =
     probe_mirrors = 0;
   }
 
-let create ?(config = Network.default_config) ?shards ?engine ~graph:g () =
-  let engine = match engine with Some e -> e | None -> default_engine () in
+let create ?(config = Network.default_config) ?shards ~graph:g () =
   let nsw = Graph.num_switches g in
   let nhosts = Graph.num_hosts g in
   let requested = match shards with Some s -> s | None -> default_shards () in
@@ -283,8 +155,6 @@ let create ?(config = Network.default_config) ?shards ?engine ~graph:g () =
   let nic = Nic.Dumbnet_agent in
   {
     config;
-    engine;
-    chain = (engine = Wheel_chain);
     direct = false;
     nshards;
     part;
@@ -313,20 +183,11 @@ let create ?(config = Network.default_config) ?shards ?engine ~graph:g () =
       Array.init nshards (fun sid ->
           {
             sid;
-            sched =
-              (match engine with
-              | Heap_sched -> Sheap (heap_create ())
-              | Wheel_sched | Wheel_chain -> Swheel (Wheel.create ()));
+            wheel = Wheel.create ();
             fpool = Frame_pool.create ();
             st = fresh_stats ();
             out_msgs = Array.make nshards [];
             out_any = false;
-            p_any = false;
-            p_time = 0;
-            p_k1 = 0;
-            p_k2 = 0;
-            p_info = 0;
-            p_slot = 0;
           });
     controls = [];
     nctrl = 0;
@@ -335,8 +196,6 @@ let create ?(config = Network.default_config) ?shards ?engine ~graph:g () =
   }
 
 let shards t = t.nshards
-
-let engine_kind t = t.engine
 
 let partition t = t.part
 
@@ -397,7 +256,7 @@ let inject t ~at_ns ~src ~dst ~tags ?(payload_bytes = 1000) ?(int_enabled = fals
         let arrival =
           finish + t.config.Network.propagation_ns + t.config.Network.switch_latency_ns
         in
-        sched_push sh ~time:arrival ~k1:depart
+        push sh ~time:arrival ~k1:depart
           ~k2:(pack_k2 ~origin:(t.host_origin + src) ~counter:t.h_cnt.(src))
           ~info:(((sw lsl 9) lor t.h_port.(src)) lsl 1)
           ~slot;
@@ -433,7 +292,7 @@ let apply_control t c =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The hot loop. One heap pop per hop, no closures, no floats, no
+(* The hot loop. One wheel pop per hop, no closures, no floats, no
    allocation: a popped event is either a host delivery (fold into the
    digest, recycle the slot) or a switch forwarding decision mirroring
    Dataplane.handle for a plain tag-routed frame — pop the tag, range
@@ -507,16 +366,14 @@ let hop t sh ~now ~sw ~in_port:_ slot =
         let tv = t.target.(eidx) in
         if tv land 3 = 1 then begin
           (* Host delivery: propagation, then the NIC's receive latency
-             plus its INT-region walk, folded into one event. Parked in
-             the pending cell — the drain loop chains or pushes it. *)
-          sh.p_any <- true;
-          sh.p_time <-
-            finish + t.config.Network.propagation_ns + t.nic_rx
-            + (t.nic_parse * Frame_pool.stamp_count fp slot);
-          sh.p_k1 <- now;
-          sh.p_k2 <- k2;
-          sh.p_info <- ((tv lsr 2) lsl 1) lor 1;
-          sh.p_slot <- slot
+             plus its INT-region walk, folded into one event. *)
+          push sh
+            ~time:
+              (finish + t.config.Network.propagation_ns + t.nic_rx
+              + (t.nic_parse * Frame_pool.stamp_count fp slot))
+            ~k1:now ~k2
+            ~info:(((tv lsr 2) lsl 1) lor 1)
+            ~slot
         end
         else begin
           let v = tv lsr 2 in
@@ -525,14 +382,7 @@ let hop t sh ~now ~sw ~in_port:_ slot =
             finish + t.config.Network.propagation_ns + t.config.Network.switch_latency_ns
           in
           let dsid = t.shard_of_sw.(peer) in
-          if dsid = sh.sid then begin
-            sh.p_any <- true;
-            sh.p_time <- arrival;
-            sh.p_k1 <- now;
-            sh.p_k2 <- k2;
-            sh.p_info <- v lsl 1;
-            sh.p_slot <- slot
-          end
+          if dsid = sh.sid then push sh ~time:arrival ~k1:now ~k2 ~info:(v lsl 1) ~slot
           else if t.direct then begin
             (* Sequential run: the destination scheduler is safe to
                touch from here, so move the frame pool-to-pool with no
@@ -542,7 +392,7 @@ let hop t sh ~now ~sw ~in_port:_ slot =
                mailbox path. *)
             let dsh = t.shards.(dsid) in
             let nslot = Frame_pool.transfer fp slot ~into:dsh.fpool in
-            sched_push dsh ~time:arrival ~k1:now ~k2 ~info:(v lsl 1) ~slot:nslot;
+            push dsh ~time:arrival ~k1:now ~k2 ~info:(v lsl 1) ~slot:nslot;
             Frame_pool.release fp slot
           end
           else begin
@@ -577,76 +427,18 @@ let exec t sh ~now ~info ~slot =
     hop t sh ~now ~sw:(v lsr 9) ~in_port:(v land 0x1FF) slot
   end
 
-let drain_heap t sh h ~horizon =
-  while h.n > 0 && h.ts.(0) < horizon do
-    let now = h.ts.(0) in
-    let info = h.ev.(0) in
-    let slot = h.sl.(0) in
-    heap_remove_min h;
-    exec t sh ~now ~info ~slot;
-    if sh.p_any then begin
-      sh.p_any <- false;
-      heap_push h ~time:sh.p_time ~k1:sh.p_k1 ~k2:sh.p_k2 ~info:sh.p_info
-        ~slot:sh.p_slot
-    end
-  done
-
-let[@dumbnet.hot] drain_wheel t sh w ~horizon =
-  while Wheel.min_ready w && Wheel.min_time w < horizon do
-    let now = Wheel.min_time w in
-    let info = Wheel.min_d0 w in
-    let slot = Wheel.min_d1 w in
-    Wheel.pop w;
-    exec t sh ~now ~info ~slot;
-    if sh.p_any then begin
-      sh.p_any <- false;
-      Wheel.push w ~time:sh.p_time ~k1:sh.p_k1 ~k2:sh.p_k2 ~d0:sh.p_info
-        ~d1:sh.p_slot
-    end
-  done
-
-(* Run-to-next-conflict: the pending event may run inline iff it is
-   inside the window and strictly below everything scheduled — then
-   executing it now is exactly what key order would do, only without a
-   scheduler round-trip. The moment another event intervenes (NIC
-   pacing, queue contention, a control barrier bounding [horizon]) the
-   comparison fails and the event takes the normal push path. *)
-let[@dumbnet.hot] chain_ok sh w ~horizon =
-  sh.p_time < horizon
-  && (not (Wheel.min_ready w)
-     || sh.p_time < Wheel.min_time w
-     || (sh.p_time = Wheel.min_time w
-        && (sh.p_k1 < Wheel.min_k1 w
-           || (sh.p_k1 = Wheel.min_k1 w && sh.p_k2 < Wheel.min_k2 w))))
-
-let[@dumbnet.hot] drain_wheel_chain t sh w ~horizon =
-  while Wheel.min_ready w && Wheel.min_time w < horizon do
-    let now = Wheel.min_time w in
-    let info = Wheel.min_d0 w in
-    let slot = Wheel.min_d1 w in
-    Wheel.pop w;
-    exec t sh ~now ~info ~slot;
-    while sh.p_any && chain_ok sh w ~horizon do
-      sh.p_any <- false;
-      let now = sh.p_time in
-      let info = sh.p_info in
-      let slot = sh.p_slot in
-      exec t sh ~now ~info ~slot
-    done;
-    if sh.p_any then begin
-      sh.p_any <- false;
-      Wheel.push w ~time:sh.p_time ~k1:sh.p_k1 ~k2:sh.p_k2 ~d0:sh.p_info
-        ~d1:sh.p_slot
-    end
-  done
-
-(* Drain one shard up to (strictly below) [horizon]. *)
+(* Drain one shard up to (strictly below) [horizon]. The current event
+   is popped before it runs, so the hop may push its successor straight
+   back into the same wheel. *)
 let[@dumbnet.hot] drain t sh ~horizon =
-  match sh.sched with
-  | Sheap h -> drain_heap t sh h ~horizon
-  | Swheel w ->
-    if t.chain then drain_wheel_chain t sh w ~horizon
-    else drain_wheel t sh w ~horizon
+  let w = sh.wheel in
+  while Wheel.min_ready w && Wheel.min_time w < horizon do
+    let now = Wheel.min_time w in
+    let info = Wheel.min_d0 w in
+    let slot = Wheel.min_d1 w in
+    Wheel.pop w;
+    exec t sh ~now ~info ~slot
+  done
 
 let exchange t =
   for s = 0 to t.nshards - 1 do
@@ -666,7 +458,7 @@ let exchange t =
                   ~payload_bytes:m.m_payload ~int_enabled:m.m_int ~tags:m.m_tags
                   ~stamps:m.m_stamps
               in
-              sched_push dst ~time:m.m_time ~k1:m.m_k1 ~k2:m.m_k2 ~info:m.m_info
+              push dst ~time:m.m_time ~k1:m.m_k1 ~k2:m.m_k2 ~info:m.m_info
                 ~slot)
             (List.rev msgs)
       done
@@ -683,8 +475,7 @@ let sort_controls t =
 
 (* shards = 1: the classic shape — one scheduler run dry, controls
    applied in timestamp order before any event at or past their
-   instant. No windows, no mailboxes; the next control (if any) bounds
-   the chaining horizon. *)
+   instant. No windows, no mailboxes. *)
 let run_single t =
   let sh = t.shards.(0) in
   let rec loop controls =
@@ -701,7 +492,7 @@ let run_windows ?pool ~parallel t =
   let rec loop controls =
     let tmin = ref max_int in
     for s = 0 to t.nshards - 1 do
-      let mt = sched_min_time t.shards.(s) in
+      let mt = min_time t.shards.(s) in
       if mt < !tmin then tmin := mt
     done;
     match controls with

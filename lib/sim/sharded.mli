@@ -3,9 +3,9 @@
     The classic {!Engine}/{!Network} pair runs one global binary heap;
     this module partitions the fabric ({!Dumbnet_topology.Partition}) so
     each shard owns its switches' egress state, its hosts, a private
-    typed-event heap and a private {!Dumbnet_packet.Frame_pool}. Shards
-    only interact through cable propagation: every cross-shard delivery
-    is at least [lookahead = propagation_ns + switch_latency_ns] in the
+    timing wheel ({!Wheel}) and a private
+    {!Dumbnet_packet.Frame_pool}. Shards only interact through cable
+    propagation: every cross-shard delivery is at least [lookahead = propagation_ns + switch_latency_ns] in the
     future (hosts co-shard with their access switch, so every cut
     crossing is a switch-to-switch cable), which makes windows of that
     width safe to run concurrently with no rollback — textbook
@@ -19,7 +19,7 @@
     [(arrival_time, charge_time, origin*2^32 + per-origin counter)],
     each shard processes its events in key order, and same-window
     events in different shards touch disjoint state. [shards = 1] is a
-    dedicated fast path — one heap, no windows, no mailboxes, zero
+    dedicated fast path — one wheel, no windows, no mailboxes, zero
     minor allocations per hop ([bench perf] gates
     [minor_words_per_hop <= 1]) — and higher shard counts reproduce
     its results exactly, property-tested in [test_sharded.ml].
@@ -38,45 +38,22 @@ open Types
 
 type t
 
-type engine_kind =
-  | Heap_sched  (** Typed-event binary heap per shard. The default. *)
-  | Wheel_sched  (** Hierarchical timing wheel ({!Wheel}) per shard. *)
-  | Wheel_chain
-      (** Timing wheel plus run-to-next-conflict hop chaining: an event
-          produced by a hop that is provably the scheduler minimum (and
-          inside the window) executes inline without a scheduler
-          round-trip. *)
-
 val default_shards : unit -> int
 (** [DUMBNET_SHARDS] if set to a positive integer, else 1. *)
-
-val default_engine : unit -> engine_kind
-(** [DUMBNET_ENGINE]: ["wheel"] is {!Wheel_chain}, ["wheel-nochain"]
-    is {!Wheel_sched}, anything else (or unset) is {!Heap_sched}. *)
-
-val engine_kind_of_string : string -> engine_kind option
-(** ["heap"], ["wheel"], ["wheel-nochain"]. *)
-
-val engine_kind_name : engine_kind -> string
 
 val create :
   ?config:Network.config ->
   ?shards:int ->
-  ?engine:engine_kind ->
   graph:Graph.t ->
   unit ->
   t
 (** Partition [graph] and build the per-shard state. [shards] defaults
-    to {!default_shards}, [engine] to {!default_engine} — every engine
-    kind yields byte-identical results ({!digest}); they differ only in
-    scheduler cost. Raises [Invalid_argument] if [shards > 1] while
-    [propagation_ns + switch_latency_ns = 0] — zero lookahead means no
-    safe window exists. The graph is snapshotted: mutate it afterwards
+    to {!default_shards}. Raises [Invalid_argument] if [shards > 1]
+    while [propagation_ns + switch_latency_ns = 0] — zero lookahead
+    means no safe window exists. The graph is snapshotted: mutate it afterwards
     and the simulation will not notice. *)
 
 val shards : t -> int
-
-val engine_kind : t -> engine_kind
 
 val partition : t -> Partition.t
 

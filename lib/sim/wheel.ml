@@ -17,9 +17,7 @@
    "run" buffer and insertion-sorts it by the FULL key, so dequeue
    order is exact and independent of both slot width and insertion
    order — which the sharded engine's determinism contract requires.
-   The run head is therefore the exact global minimum, cheap enough to
-   compare against on every hop (run-to-next-conflict chaining does
-   exactly that).
+   The run head is therefore the exact global minimum.
 
    Entries are pooled in parallel int arrays (time, k1, k2, two opaque
    payload words, next-link) so scheduling allocates nothing in steady

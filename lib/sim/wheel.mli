@@ -5,13 +5,13 @@
     ascending (time, k1, k2) — independent of both slot width and
     insertion order. All state lives in pooled int arrays: pushes and
     pops allocate nothing in steady state. Carries two opaque payload
-    words per entry; the classic {!Engine} stores a closure-table id,
-    the {!Sharded} engine packs (event info, frame-pool slot).
+    words per entry; the {!Sharded} engine packs (event info,
+    frame-pool slot).
 
     Keys must be unique per instance (callers derive k2 from per-origin
     counters or a global sequence). Pushes at a time before the last
     popped entry are clamped forward — they fire as soon as possible,
-    matching the binary-heap engines' leniency. *)
+    matching a binary heap's leniency. *)
 
 type t
 

@@ -281,21 +281,21 @@ let legs_to cache dst =
     | Some (_ :: _ as legs) -> Some legs
     | Some [] | None -> None)
 
+let on_path legs (le : link_end) =
+  List.exists
+    (fun (l : Prober.leg) ->
+      (l.Prober.leg_from.sw = le.sw && l.Prober.leg_from.port = le.port)
+      || (l.Prober.leg_to.sw = le.sw && l.Prober.leg_to.port = le.port))
+    legs
+
 let off_path_partner g rng legs =
-  let on_path (le : link_end) =
-    List.exists
-      (fun (l : Prober.leg) ->
-        (l.Prober.leg_from.sw = le.sw && l.Prober.leg_from.port = le.port)
-        || (l.Prober.leg_to.sw = le.sw && l.Prober.leg_to.port = le.port))
-      legs
-  in
   let cs =
     List.filter_map
       (fun (key, up) ->
         if not up then None
         else
           let a, b = Link_key.ends key in
-          if (not (on_path a)) && not (on_path b) then Some a else None)
+          if (not (on_path legs a)) && not (on_path legs b) then Some a else None)
       (Graph.switch_links g)
   in
   match cs with
@@ -332,11 +332,11 @@ let localize_once fab loc ~miswire rng dst legs =
     match (v.Localizer.v_class, partner) with
     | Localizer.Silent_drop { near; far }, None ->
       Link_key.compare (Link_key.make near far) target = 0
-    | Localizer.Miswired { near; far; actual; _ }, Some _ ->
+    | Localizer.Miswired { near; far; actual; actual_port }, Some _ ->
       Link_key.compare (Link_key.make near far) target = 0
-      (* the impostor the stamp reads must be the partner's true far
-         side — i.e. not the switch we expected *)
-      && actual <> leg.Prober.leg_to.sw
+      (* the landing point the stamp reads must be the partner's true
+         far side — not the switch, or not the port, we expected *)
+      && (actual <> leg.Prober.leg_to.sw || actual_port <> leg.Prober.leg_to.port)
     | (Localizer.Silent_drop _ | Localizer.Miswired _ | Localizer.Healthy
       | Localizer.Degraded _ | Localizer.Inconclusive), _ ->
       false)
@@ -368,6 +368,54 @@ let fat_tree_prop = localization_prop "fat-tree k=4: hidden fault -> exact cable
 let jellyfish_prop =
   localization_prop "jellyfish-16: hidden fault -> exact cable"
     (Builder.random_regular ~rng:(Rng.create 5) ~switches:16 ~degree:5 ~hosts_per_switch:1 ())
+
+(* Regression: a miswire whose partner cable lands on the target's far
+   switch through another port. Every outbound stamp still names the
+   expected switch; only the bounce stamp's ingress port gives the swap
+   away. *)
+let test_same_switch_miswire () =
+  let built = Builder.fat_tree ~k:4 () in
+  let fab, observer, agent, loc = diag_rig built in
+  let net = Fabric.network fab in
+  let g = Network.graph net in
+  let cache = Agent.topocache agent in
+  (* The first cached leg with an off-path cable into its far switch;
+     [partner] is that cable's other end, so the swap moves our cable
+     onto [landing]. *)
+  let pick dst =
+    match legs_to cache dst with
+    | None -> None
+    | Some legs ->
+      List.find_map
+        (fun (leg : Prober.leg) ->
+          List.find_map
+            (fun (key, up) ->
+              let a, b = Link_key.ends key in
+              if (not up) || on_path legs a || on_path legs b then None
+              else if b.sw = leg.Prober.leg_to.sw then Some (dst, leg, a, b)
+              else if a.sw = leg.Prober.leg_to.sw then Some (dst, leg, b, a)
+              else None)
+            (Graph.switch_links g))
+        legs
+  in
+  match List.find_map (fun d -> if d = observer then None else pick d) built.Builder.hosts with
+  | None -> Alcotest.fail "no leg with an off-path cable into its far switch"
+  | Some (dst, leg, partner, landing) ->
+    Network.rewire_swap net leg.Prober.leg_from partner;
+    let got = ref None in
+    let launched = Localizer.diagnose loc ~dst ~on_done:(fun v -> got := Some v) in
+    Alcotest.(check bool) "diagnosis launched" true launched;
+    Fabric.run ~for_ns:200_000_000 fab;
+    Network.rewire_swap net leg.Prober.leg_from partner;
+    let target = Link_key.make leg.Prober.leg_from leg.Prober.leg_to in
+    (match !got with
+    | Some { Localizer.v_class = Localizer.Miswired { near; far; actual; actual_port }; _ } ->
+      Alcotest.(check bool) "names the swapped cable" true
+        (Link_key.compare (Link_key.make near far) target = 0);
+      Alcotest.(check int) "lands on the expected switch" leg.Prober.leg_to.sw actual;
+      Alcotest.(check int) "through the partner's port" landing.port actual_port
+    | Some v -> Alcotest.failf "expected a miswire, got %a" Localizer.pp_verdict v
+    | None -> Alcotest.fail "no verdict")
 
 (* The paper-scale smoke: one silent drop each on k=8 fat tree and
    64-switch jellyfish, localized to exactly the faulted cable. *)
@@ -471,6 +519,7 @@ let () =
           Alcotest.test_case "suspect ranking" `Quick test_suspects_ranking;
           QCheck_alcotest.to_alcotest fat_tree_prop;
           QCheck_alcotest.to_alcotest jellyfish_prop;
+          Alcotest.test_case "same-switch miswire" `Quick test_same_switch_miswire;
           Alcotest.test_case "k=8 and jellyfish-64 smoke" `Slow test_large_topology_smoke;
           Alcotest.test_case "health monitor hand-off" `Quick test_health_handoff;
         ] );

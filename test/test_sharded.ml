@@ -1,7 +1,7 @@
 (* Tests for the sharded discrete-event engine and its supporting cast:
    the topology partitioner, the struct-of-arrays frame pool, and the
    determinism contract — a run over any shard count (and any pool
-   width) is byte-identical to the single-heap run, including mid-run
+   width) is byte-identical to the single-shard run, including mid-run
    link failures that change the cut set. *)
 
 open Dumbnet.Topology
@@ -351,7 +351,7 @@ let test_mid_run_failure_drops () =
   check Alcotest.int "cut chain delivers nothing" 0 cut_rx;
   check Alcotest.int "cut chain drops at the break" 1 cut_drops
 
-(* --- determinism: sharded = single-heap --- *)
+(* --- determinism: sharded = single-shard --- *)
 
 (* A randomized scenario: every host sends [frames] INT-stamped frames
    to random destinations at staggered times, and random cables fail
@@ -365,11 +365,11 @@ type fingerprint = {
   fp_leak : int;
 }
 
-let scenario_fingerprint ?pool ?engine g ~seed ~shards ~frames =
+let scenario_fingerprint ?pool g ~seed ~shards ~frames =
   let rng = Rng.create (0x5eed + seed) in
   let hosts = Array.of_list (Graph.host_ids g) in
   let n = Array.length hosts in
-  let sim = Sharded.create ~shards ?engine ~graph:g () in
+  let sim = Sharded.create ~shards ~graph:g () in
   Array.iter
     (fun src ->
       for i = 1 to frames do
@@ -421,13 +421,13 @@ let check_shard_counts_agree g ~seed ~frames =
     (fun shards ->
       let got = scenario_fingerprint g ~seed ~shards ~frames in
       check Alcotest.bool
-        (Printf.sprintf "shards=%d = single heap (seed %d)" shards seed)
+        (Printf.sprintf "shards=%d = single shard (seed %d)" shards seed)
         true (got = reference))
     [ 2; 3; 4 ]
 
 let test_fat_tree_determinism () =
   let built = Builder.fat_tree ~k:4 () in
-  List.iter (fun seed -> check_shard_counts_agree built.Builder.graph ~seed ~frames:6) [ 1; 2 ]
+  List.iter (fun seed -> check_shard_counts_agree built.Builder.graph ~seed ~frames:6) [ 1; 2; 5 ]
 
 let jellyfish_determinism_prop =
   QCheck.Test.make ~name:"sharded = single-heap on random jellyfish" ~count:12
@@ -452,42 +452,39 @@ let test_pooled_run_matches () =
         (fun shards ->
           let got = scenario_fingerprint ~pool g ~seed:9 ~shards ~frames:6 in
           check Alcotest.bool
-            (Printf.sprintf "pooled shards=%d = single heap" shards)
+            (Printf.sprintf "pooled shards=%d = single shard" shards)
             true (got = reference))
         [ 2; 4 ])
 
-(* --- scheduler choice is invisible: heap, wheel, and wheel+chaining
-   produce bit-identical fingerprints on the full scenario (traffic,
-   INT, drops, mid-run fail/restore) at every shard count --- *)
+(* --- zero-allocation contract --- *)
 
-let check_engines_agree g ~seed ~frames =
-  List.iter
-    (fun shards ->
-      let reference =
-        scenario_fingerprint ~engine:Sharded.Heap_sched g ~seed ~shards ~frames
-      in
-      check Alcotest.bool "traffic flowed" true (reference.fp_hops > 0);
-      check Alcotest.int "no slot leak" 0 reference.fp_leak;
-      List.iter
-        (fun engine ->
-          let got = scenario_fingerprint ~engine g ~seed ~shards ~frames in
-          check Alcotest.bool
-            (Printf.sprintf "%s = heap (shards=%d, seed %d)"
-               (Sharded.engine_kind_name engine) shards seed)
-            true (got = reference))
-        [ Sharded.Wheel_sched; Sharded.Wheel_chain ])
-    [ 1; 2; 4 ]
-
-let test_engines_fat_tree () =
+(* Every host bursts frames along one source route, injected before the
+   counter is read, so only the steady-state drain is on the meter: the
+   frame pool and the wheel recycle their slots, and one word per hop
+   of slack covers their doublings. *)
+let test_hop_loop_allocation_free () =
   let built = Builder.fat_tree ~k:4 () in
-  List.iter (fun seed -> check_engines_agree built.Builder.graph ~seed ~frames:6) [ 1; 5 ]
-
-let test_engines_jellyfish () =
-  let built =
-    Builder.random_regular ~rng:(Rng.create 7) ~switches:16 ~degree:4
-      ~hosts_per_switch:1 ()
-  in
-  check_engines_agree built.Builder.graph ~seed:3 ~frames:5
+  let g = built.Builder.graph in
+  let hosts = Array.of_list built.Builder.hosts in
+  let n = Array.length hosts in
+  let sim = Sharded.create ~shards:1 ~graph:g () in
+  Array.iteri
+    (fun i src ->
+      let dst = hosts.((i + (n / 2)) mod n) in
+      match Routing.host_route g ~src ~dst with
+      | Some p ->
+        for _ = 1 to 20 do
+          Sharded.inject sim ~at_ns:0 ~src ~dst ~tags:(Path.tags p) ~int_enabled:true ()
+        done
+      | None -> Alcotest.fail "no route")
+    hosts;
+  let w0 = Gc.minor_words () in
+  Sharded.run sim;
+  let w1 = Gc.minor_words () in
+  let hops = Sharded.hops sim in
+  check Alcotest.bool "traffic flowed" true (hops > 0);
+  let per_hop = (w1 -. w0) /. float_of_int hops in
+  check Alcotest.bool (Printf.sprintf "minor words per hop %.3f <= 1.0" per_hop) true (per_hop <= 1.0)
 
 let () =
   Alcotest.run "sharded"
@@ -512,13 +509,12 @@ let () =
         [
           Alcotest.test_case "single frame = classic" `Quick test_single_frame_matches_classic;
           Alcotest.test_case "mid-run failure" `Quick test_mid_run_failure_drops;
+          Alcotest.test_case "hop loop allocation-free" `Quick test_hop_loop_allocation_free;
         ] );
       ( "determinism",
         [
           Alcotest.test_case "fat-tree k=4 all shard counts" `Quick test_fat_tree_determinism;
           QCheck_alcotest.to_alcotest jellyfish_determinism_prop;
           Alcotest.test_case "pooled = sequential" `Quick test_pooled_run_matches;
-          Alcotest.test_case "engines agree on fat-tree k=4" `Quick test_engines_fat_tree;
-          Alcotest.test_case "engines agree on jellyfish-16" `Quick test_engines_jellyfish;
         ] );
     ]
