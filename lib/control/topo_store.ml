@@ -19,11 +19,12 @@ type t = {
   dedup : Event_dedup.t;
   mutable version : int;
   mutable pending : Payload.change list; (* newest first *)
-  (* Per-source-switch BFS distance maps, shared across path-graph
-     queries: the O(hosts²) query pattern keeps asking about the same
-     few switches. Generation-checked against the graph so any applied
-     event (failure notice, patch, discovered link) invalidates it. *)
-  dist_cache : (switch_id, (switch_id, int) Hashtbl.t) Hashtbl.t;
+  (* Per-source-switch BFS distance tables (id-indexed int arrays, -1
+     unreachable), shared across path-graph queries: the O(hosts²)
+     query pattern keeps asking about the same few switches.
+     Generation-checked against the graph so any applied event (failure
+     notice, patch, discovered link) invalidates it. *)
+  dist_cache : (switch_id, Adjacency.distances) Hashtbl.t;
   (* Reverse index for scoped invalidation: cable -> the BFS roots whose
      cached table the cable is tight for (|d a - d b| = 1), plus the
      forward map so evicting a root can unregister it. Failing any
@@ -102,13 +103,12 @@ let[@dumbnet.hot] register_root t from d =
   let keys = ref [] in
   for i = 0 to Adjacency.num_switches snap - 1 do
     let sw = Adjacency.id_of snap i in
-    match Hashtbl.find_opt d sw with
-    | None -> ()
-    | Some dsw ->
+    let dsw = Adjacency.distance d sw in
+    if dsw >= 0 then
       Adjacency.iter_neighbors snap sw (fun ~out ~peer ~peer_in ->
-          if sw < peer then
-            match Hashtbl.find_opt d peer with
-            | Some dpeer when abs (dsw - dpeer) = 1 ->
+          if sw < peer then begin
+            let dpeer = Adjacency.distance d peer in
+            if dpeer >= 0 && abs (dsw - dpeer) = 1 then begin
               let key = Link_key.make { sw; port = out } { sw = peer; port = peer_in } in
               keys := key :: !keys;
               let users =
@@ -120,7 +120,8 @@ let[@dumbnet.hot] register_root t from d =
                   u
               in
               Hashtbl.replace users from ()
-            | Some _ | None -> ())
+            end
+          end)
   done;
   Hashtbl.replace t.root_links from !keys
 
@@ -193,10 +194,9 @@ let repair_after_link_change t a b ~up =
   else
     Hashtbl.iter
       (fun root d ->
-        match (Hashtbl.find_opt d a.sw, Hashtbl.find_opt d b.sw) with
-        | Some da, Some db when abs (da - db) <= 1 -> ()
-        | None, None -> ()
-        | Some _, (Some _ | None) | None, Some _ -> victims := root :: !victims)
+        let da = Adjacency.distance d a.sw and db = Adjacency.distance d b.sw in
+        let unchanged = (da >= 0 && db >= 0 && abs (da - db) <= 1) || (da < 0 && db < 0) in
+        if not unchanged then victims := root :: !victims)
       t.dist_cache;
   List.iter (fun root -> evict_root t root) !victims;
   t.retained_roots <- t.retained_roots + before - List.length !victims;
@@ -325,7 +325,7 @@ let item_seed ~epoch ~src ~dst =
    during the batch; the coordinator folds it back into the shared
    cache after every chunk has joined. *)
 type shard = {
-  sh_tbl : (switch_id, (switch_id, int) Hashtbl.t) Hashtbl.t;
+  sh_tbl : (switch_id, Adjacency.distances) Hashtbl.t;
   mutable sh_hits : int;
   mutable sh_misses : int;
 }

@@ -60,9 +60,9 @@ val serve_path_graph :
   ?s:int -> ?eps:int -> ?rng:Dumbnet_util.Rng.t -> t -> src:host_id -> dst:host_id ->
   Pathgraph.t option
 (** Answer a host's path query from the current view. Queries share
-    memoized per-switch BFS distance maps, so bursts of queries (the
+    memoized per-switch BFS distance tables, so bursts of queries (the
     bootstrap push, the post-failure re-query storm) cost one BFS per
-    distinct switch instead of one per query. The maps are
+    distinct switch instead of one per query. The tables are
     generation-checked against the graph: any applied event or
     discovered link invalidates them, so answers are always identical
     to a fresh {!Pathgraph.generate}. Implemented as a one-item
@@ -104,12 +104,16 @@ val serve_path_graphs :
 val in_batch : t -> bool
 (** [true] while a {!serve_path_graphs} batch is in flight. *)
 
-val distances : t -> from:switch_id -> (switch_id, int) Hashtbl.t
-(** The memoized BFS distance map from one switch (read-only). Counts
-    as a cache writer: raises [Invalid_argument] during a batch. *)
+val distances : t -> from:switch_id -> Adjacency.distances
+(** The memoized BFS distance table from one switch (read-only): an
+    int array indexed by switch id, [-1] for unreachable, read through
+    {!Adjacency.distance} so that ids beyond its length read as
+    unreachable too. A table retained by scoped repair therefore stays
+    valid across a snapshot rebuild. Counts as a cache writer: raises
+    [Invalid_argument] during a batch. *)
 
 val invalidate_dist_cache : t -> unit
-(** Drop {e all} memoized distance maps unconditionally. Callers never
+(** Drop {e all} memoized distance tables unconditionally. Callers never
     need this for correctness — {!apply_event} repairs in place and
     out-of-band graph mutations are caught by the generation check —
     it remains for tests and explicit resets. Counts as a full reset

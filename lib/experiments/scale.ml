@@ -1,5 +1,5 @@
 (** `bench scale`: the mega-fabric curve of the pod-partitioned
-    controller — path graphs/sec, resident memory, interned vs raw
+    controller — path graphs/sec, live memory, interned vs raw
     bytes per cached (src, dst) pair, and failure repair-scoping vs
     fabric size — across fat trees k ∈ {8, 16, 32, 48} and jellyfish
     {64, 256, 1024}. Writes BENCH_SCALE.json and BENCH_SCALE.md (the
@@ -84,25 +84,11 @@ let shard_count switches = max 2 (min 16 (switches / 40))
 
 let now () = Unix.gettimeofday ()
 
-(* VmRSS from /proc/self/status, in MiB; 0 where procfs is absent. *)
-let rss_mib () =
-  try
-    let ic = open_in "/proc/self/status" in
-    let rec scan () =
-      match input_line ic with
-      | line ->
-        if String.length line > 6 && String.sub line 0 6 = "VmRSS:" then begin
-          close_in ic;
-          try Scanf.sscanf line "VmRSS: %d kB" (fun kb -> float_of_int kb /. 1024.)
-          with Scanf.Scan_failure _ | Failure _ | End_of_file -> 0.
-        end
-        else scan ()
-      | exception End_of_file ->
-        close_in ic;
-        0.
-    in
-    scan ()
-  with Sys_error _ -> 0.
+(* Live heap words after a full compaction. The heap size and RSS are
+   high-water marks, which only ever grow across the curve's points. *)
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
 
 (* Distinct host pairs, deterministically sampled; src <> dst. *)
 let sample_pairs built rng n =
@@ -144,15 +130,17 @@ type result = {
   r_indexes_per_event : float;  (** shard subscription indexes consulted *)
   r_evicted_per_event : float;
   r_retained_per_event : float;
-  r_rss_mib : float;
-  r_heap_mib : float;
+  r_live_mib : float;  (** live heap the point's fabric and controller hold *)
   r_point_s : float;  (** wall seconds the whole point took *)
 }
 
 let word_bytes = Sys.word_size / 8
 
+(* A point's memory is the live-words delta across it, so the order of
+   the curve cannot leak one point's heap into the next one's row. *)
 let measure pt =
   let t_start = now () in
+  let live0 = live_words () in
   let built = pt.pt_build () in
   let g = built.Builder.graph in
   let switches = Graph.num_switches g in
@@ -232,9 +220,11 @@ let measure pt =
   let stats1 = Shard.repair_stats sharded in
   let per_event v = float_of_int v /. float_of_int repair_events in
   let affected_per_event = per_event !affected_total in
-  let heap_mib =
-    float_of_int ((Gc.quick_stat ()).Gc.heap_words * word_bytes) /. (1024. *. 1024.)
+  let live_mib =
+    float_of_int ((live_words () - live0) * word_bytes) /. (1024. *. 1024.)
   in
+  (* Keep the fabric and controller reachable until the count above. *)
+  ignore (Sys.opaque_identity (built, sharded));
   {
     r_name = pt.pt_name;
     r_switches = switches;
@@ -262,8 +252,7 @@ let measure pt =
     r_retained_per_event =
       per_event (stats1.Dumbnet_control.Topo_store.retained_roots
                  - stats0.Dumbnet_control.Topo_store.retained_roots);
-    r_rss_mib = rss_mib ();
-    r_heap_mib = heap_mib;
+    r_live_mib = live_mib;
     r_point_s = now () -. t_start;
   }
 
@@ -292,12 +281,12 @@ let write_json results =
          \"repair_events\": %d, \"affected_pairs_per_event\": %.2f, \
          \"repair_scoping_factor\": %.1f, \"subs_indexes_per_event\": %.2f, \
          \"evicted_roots_per_event\": %.1f, \"retained_roots_per_event\": %.1f, \
-         \"rss_mib\": %.1f, \"heap_mib\": %.1f, \"point_seconds\": %.1f}%s\n"
+         \"live_mib\": %.1f, \"point_seconds\": %.1f}%s\n"
         r.r_name r.r_switches r.r_hosts r.r_cables r.r_shards r.r_cut_fraction r.r_partition_ms
         r.r_graphs_per_sec r.r_stitched_fraction r.r_ledger_pairs r.r_interned_bytes_per_pair
         r.r_uninterned_bytes_per_pair r.r_arena_stacks r.r_arena_bytes r.r_arena_interns
         r.r_repair_events r.r_affected_per_event r.r_scoping_factor r.r_indexes_per_event
-        r.r_evicted_per_event r.r_retained_per_event r.r_rss_mib r.r_heap_mib r.r_point_s
+        r.r_evicted_per_event r.r_retained_per_event r.r_live_mib r.r_point_s
         (if rest = [] then "" else ",");
       rows rest
   in
@@ -310,17 +299,17 @@ let write_markdown results =
   let oc = open_out md_path in
   let p fmt = Printf.fprintf oc fmt in
   p "| fabric | switches | hosts | shards | path graphs/s | B/pair interned | B/pair raw | \
-     compression | repair scoping | RSS MiB |\n";
+     compression | repair scoping | live MiB |\n";
   p "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
   List.iter
     (fun r ->
-      p "| %s | %d | %d | %d | %.0f | %.0f | %.0f | %.1fx | %.0fx | %.0f |\n" r.r_name
+      p "| %s | %d | %d | %d | %.0f | %.0f | %.0f | %.1fx | %.0fx | %.1f |\n" r.r_name
         r.r_switches r.r_hosts r.r_shards r.r_graphs_per_sec r.r_interned_bytes_per_pair
         r.r_uninterned_bytes_per_pair
         (if r.r_interned_bytes_per_pair > 0. then
            r.r_uninterned_bytes_per_pair /. r.r_interned_bytes_per_pair
          else 0.)
-        r.r_scoping_factor r.r_rss_mib)
+        r.r_scoping_factor r.r_live_mib)
     results;
   close_out oc
 
@@ -338,13 +327,13 @@ let run () =
           (Printf.sprintf
              "%s: %d sw / %d hosts, %d shards (cut %.1f%%, %.0f ms to partition) — %.0f path \
               graphs/s (%.0f%% stitched), %.0f B/pair interned vs %.0f raw, scoping %.0fx, \
-              RSS %.0f MiB [%.1fs]"
+              %.1f MiB live [%.1fs]"
              r.r_name r.r_switches r.r_hosts r.r_shards
              (100. *. r.r_cut_fraction)
              r.r_partition_ms r.r_graphs_per_sec
              (100. *. r.r_stitched_fraction)
              r.r_interned_bytes_per_pair r.r_uninterned_bytes_per_pair r.r_scoping_factor
-             r.r_rss_mib r.r_point_s);
+             r.r_live_mib r.r_point_s);
         r)
       selected
   in
@@ -352,7 +341,7 @@ let run () =
     ~headers:
       [
         "fabric"; "switches"; "shards"; "graphs/s"; "B/pair int"; "B/pair raw"; "scoping";
-        "RSS MiB";
+        "live MiB";
       ]
     (List.map
        (fun r ->
@@ -364,7 +353,7 @@ let run () =
            Printf.sprintf "%.0f" r.r_interned_bytes_per_pair;
            Printf.sprintf "%.0f" r.r_uninterned_bytes_per_pair;
            Printf.sprintf "%.0fx" r.r_scoping_factor;
-           Printf.sprintf "%.0f" r.r_rss_mib;
+           Printf.sprintf "%.1f" r.r_live_mib;
          ])
        results);
   write_json results;

@@ -76,15 +76,19 @@ let[@dumbnet.hot] iter_neighbors t sw f =
       if k >= 0 then f ~out:t.out_port.(e) ~peer:t.ids.(k) ~peer_in:t.peer_port.(e)
     done
 
-(* BFS over the int arrays, then materialized as the (switch -> hops)
-   table the routing layer consumes — the table build is O(reached),
-   dwarfed by what the array traversal saves over closure adjacency. *)
+type distances = int array
+
+let[@dumbnet.hot] distance d sw = if sw >= 0 && sw < Array.length d then d.(sw) else -1
+
+(* BFS over the int arrays by compact index. Switch ids are normally
+   dense (0..n-1 ascending, so compact index = id) and the BFS array
+   is returned as is; sparse ids are scattered into an id-indexed
+   copy. *)
 let[@dumbnet.hot] bfs_distances t ~from =
-  let n = Array.length t.ids in
-  let result = Hashtbl.create ((2 * n) + 1) in
   match Hashtbl.find_opt t.index from with
-  | None -> result
+  | None -> [||]
   | Some start ->
+    let n = Array.length t.ids in
     let dist = Array.make n (-1) in
     let queue = Array.make n 0 in
     dist.(start) <- 0;
@@ -103,7 +107,61 @@ let[@dumbnet.hot] bfs_distances t ~from =
         end
       done
     done;
-    for i = 0 to n - 1 do
-      if dist.(i) >= 0 then Hashtbl.replace result t.ids.(i) dist.(i)
+    if t.ids.(n - 1) = n - 1 then dist
+    else begin
+      let by_id = Array.make (t.ids.(n - 1) + 1) (-1) in
+      Array.iteri (fun i d -> by_id.(t.ids.(i)) <- d) dist;
+      by_id
+    end
+
+type avoiding =
+  | Route of switch_id list
+  | Too_long
+  | Unreachable
+
+(* FIFO BFS from [src] over the snapshot minus every cable joining two
+   switches adjacent on [avoid] (a loop-free route): [pos] holds each
+   switch's position on [avoid], so such a cable is one whose ends sit
+   at positions one apart. Neighbours are visited in CSR order, the
+   order [fn] lists them; [pred] records each switch's discoverer and
+   doubles as the visited mark. The search stops as soon as [dst] is
+   discovered. *)
+let[@dumbnet.hot] route_avoiding t ~avoid ~max_hops ~src ~dst =
+  match (Hashtbl.find_opt t.index src, Hashtbl.find_opt t.index dst) with
+  | None, _ | _, None -> Unreachable
+  | Some s, Some goal ->
+    let n = Array.length t.ids in
+    let pos = Array.make n (-1) in
+    List.iteri
+      (fun p sw ->
+        match Hashtbl.find_opt t.index sw with
+        | Some i -> pos.(i) <- p
+        | None -> ())
+      avoid;
+    let pred = Array.make n (-1) in
+    let queue = Array.make n 0 in
+    pred.(s) <- s;
+    queue.(0) <- s;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail && pred.(goal) < 0 do
+      let i = queue.(!head) in
+      incr head;
+      let pi = pos.(i) in
+      for e = t.row.(i) to t.row.(i + 1) - 1 do
+        let k = t.peer_idx.(e) in
+        if k >= 0 && pred.(k) < 0 && not (pi >= 0 && pos.(k) >= 0 && abs (pi - pos.(k)) = 1)
+        then begin
+          pred.(k) <- i;
+          queue.(!tail) <- k;
+          incr tail
+        end
+      done
     done;
-    result
+    if pred.(goal) < 0 then Unreachable
+    else begin
+      let rec back i hops acc =
+        if i = s then (hops, t.ids.(i) :: acc) else back pred.(i) (hops + 1) (t.ids.(i) :: acc)
+      in
+      let hops, route = back goal 0 [] in
+      if hops < max_hops then Route route else Too_long
+    end

@@ -1,12 +1,16 @@
 (** Compact CSR-style snapshot of a graph's up switch-to-switch
     adjacency.
 
-    The hot paths — BFS for path-graph generation, Dijkstra for backup
-    routes, Yen's spur scans — previously re-walked the graph's port
-    tables and allocated a fresh neighbor list per visit. A snapshot
-    packs the same adjacency into int arrays once, and additionally
+    The hot paths — the BFS distance tables and the primary-avoiding
+    backup search of path-graph generation, Yen's spur scans —
+    previously re-walked the graph's port tables and allocated a fresh
+    neighbor list per visit. A snapshot packs the same adjacency into
+    int arrays once (CSR: a row offset per switch, then per-edge out
+    port, peer compact index and peer port), and additionally
     pre-builds the per-switch [(out, peer, peer_in)] lists so the
     {!Path.adjacency} closure interface stays allocation-free per call.
+    The array searches below walk those rows by compact index and
+    never hash a neighbour.
 
     Snapshots are generation-stamped: {!Graph.adjacency} rebuilds one
     only when the graph has mutated since (see {!Graph.generation}). A
@@ -47,6 +51,35 @@ val iter_neighbors :
   t -> switch_id -> (out:port -> peer:switch_id -> peer_in:port -> unit) -> unit
 (** Array-walk iteration, no list involved. *)
 
-val bfs_distances : t -> from:switch_id -> (switch_id, int) Hashtbl.t
-(** Hop distances from [from] over the snapshot, same contract as
-    {!Routing.bfs_distances} but computed on int arrays. *)
+(** {1 Distance tables} *)
+
+type distances = int array
+(** Hop distances from one root, indexed by switch id: [-1] marks an
+    unreachable switch, and so does any id at or beyond the array's
+    length — so a table stays readable for ids a later snapshot adds. *)
+
+val distance : distances -> switch_id -> int
+(** [distance d sw] is [d.(sw)], or [-1] when [sw] is out of range. *)
+
+val bfs_distances : t -> from:switch_id -> distances
+(** Hop distances from [from] over the snapshot, the same values as
+    {!Routing.bfs_distances} but computed on int arrays and returned
+    as an id-indexed table. An unknown [from] yields [[||]]. *)
+
+(** {1 Primary-avoiding search} *)
+
+type avoiding =
+  | Route of switch_id list  (** [src..dst], fewer than [max_hops] hops *)
+  | Too_long  (** [dst] is reachable, but only in [max_hops] hops or more *)
+  | Unreachable  (** no route avoids the cables, or an endpoint is unknown *)
+
+val route_avoiding :
+  t -> avoid:switch_id list -> max_hops:int -> src:switch_id -> dst:switch_id -> avoiding
+(** FIFO BFS from [src] over the snapshot minus every cable (parallel
+    cables included) joining two switches adjacent on [avoid], a
+    loop-free route. Neighbours are visited in {!fn} order and each
+    switch keeps the predecessor that discovered it first, so on unit
+    weights the route is the one a FIFO-tie-breaking Dijkstra returns.
+    The search stops once [dst] is discovered; it costs the
+    neighbourhood explored plus three [num_switches]-long scratch
+    arrays allocated per call. *)

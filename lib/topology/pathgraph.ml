@@ -71,6 +71,16 @@ let add_edge adj a b =
     lb := (b.port, a.sw, a.port) :: !lb
   end
 
+(* One Algorithm 1 window: every switch x with da(x) + db(x) <= budget,
+   scanned over the two id-indexed tables side by side. *)
+let[@dumbnet.hot] window_vertices ~budget da db acc =
+  let acc = ref acc in
+  for x = 0 to min (Array.length da) (Array.length db) - 1 do
+    let dxa = da.(x) and dxb = db.(x) in
+    if dxa >= 0 && dxb >= 0 && dxa + dxb <= budget then acc := Switch_set.add x !acc
+  done;
+  !acc
+
 let default_s = 2
 
 let default_eps = 1
@@ -96,7 +106,7 @@ let generate ?(s = default_s) ?(eps = default_eps) ?rng ?dist g ~src ~dst =
       if src_loc.sw = dst_loc.sw then Some [ src_loc.sw ]
       else
         Routing.route_via_distances ?rng graph_adj ~src:src_loc.sw ~dst:dst_loc.sw
-          (dist_from ~from:dst_loc.sw)
+          (Adjacency.distance (dist_from ~from:dst_loc.sw))
     in
     match primary_route with
     | None -> None
@@ -115,38 +125,18 @@ let generate ?(s = default_s) ?(eps = default_eps) ?rng ?dist g ~src ~dst =
         let stride = max 1 (s / 2) in
         let i = ref 0 in
         while !i < len - 1 do
-          let a = arr.(!i) in
           let b_idx = min (!i + s) (len - 1) in
-          let b = arr.(b_idx) in
-          let window = b_idx - !i in
-          let da = dist_from ~from:a in
-          let db = dist_from ~from:b in
-          Hashtbl.iter
-            (fun x dxa ->
-              match Hashtbl.find_opt db x with
-              | Some dxb when dxa + dxb <= window + eps -> vertices := Switch_set.add x !vertices
-              | Some _ | None -> ())
-            da;
+          vertices :=
+            window_vertices ~budget:(b_idx - !i + eps)
+              (dist_from ~from:arr.(!i))
+              (dist_from ~from:arr.(b_idx))
+              !vertices;
           i := !i + stride
         done;
-        (* Backup path: re-run shortest path with primary links made
-           expensive so it avoids them unless unavoidable. *)
-        let primary_links =
-          let rec pairs acc = function
-            | [] | [ _ ] -> acc
-            | a :: (b :: _ as rest) -> pairs ((a, b) :: acc) rest
-          in
-          pairs [] route
-        in
-        let on_primary x y =
-          List.exists (fun (a, b) -> (a = x && b = y) || (a = y && b = x)) primary_links
-        in
-        let weight e1 e2 = if on_primary e1.sw e2.sw then 100. else 1. in
-        let backup_route =
-          Routing.weighted_route ~weight graph_adj ~src:src_loc.sw ~dst:dst_loc.sw
-        in
+        (* Backup path: the shortest route that avoids the primary's
+           cables unless unavoidable. *)
         let backup_path =
-          match backup_route with
+          match Routing.backup_route snap ~primary:route ~src:src_loc.sw ~dst:dst_loc.sw with
           | Some r when r <> route ->
             add_route r;
             Path.of_route ~adj:graph_adj ~src ~src_loc ~dst ~dst_loc r
@@ -233,21 +223,7 @@ let reversed t =
       | Some _ ->
         (* Prefer a reverse route that dodges the reverse primary's links. *)
         let adj = adjacency swapped in
-        let primary_pairs =
-          let rec pairs acc = function
-            | [] | [ _ ] -> acc
-            | (a, _) :: ((b, _) :: _ as rest) -> pairs ((a, b) :: acc) rest
-          in
-          pairs [] primary.Path.hops
-        in
-        let weight (e1 : link_end) (e2 : link_end) =
-          if
-            List.exists
-              (fun (a, b) -> (a = e1.sw && b = e2.sw) || (a = e2.sw && b = e1.sw))
-              primary_pairs
-          then 100.
-          else 1.
-        in
+        let weight = Routing.penalize (List.map fst primary.Path.hops) in
         (match
            Routing.weighted_route ~weight adj ~src:swapped.src_loc.sw ~dst:swapped.dst_loc.sw
          with

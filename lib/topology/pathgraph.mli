@@ -15,7 +15,7 @@ val generate :
   ?s:int ->
   ?eps:int ->
   ?rng:Dumbnet_util.Rng.t ->
-  ?dist:(from:switch_id -> (switch_id, int) Hashtbl.t) ->
+  ?dist:(from:switch_id -> Adjacency.distances) ->
   Graph.t ->
   src:host_id ->
   dst:host_id ->
@@ -26,10 +26,17 @@ val generate :
     [dist], when given, supplies the BFS distance table for a given
     source switch in place of a fresh BFS — the controller passes its
     memoized per-switch tables here so the O(hosts²) query pattern
-    shares them. The provider must return tables identical to
-    {!Routing.bfs_distances} on the current graph (stale tables produce
-    wrong path graphs — invalidate on every mutation), and the returned
-    tables are never written to. *)
+    shares them. The provider must return tables that read, through
+    {!Adjacency.distance}, the same as {!Adjacency.bfs_distances} on the
+    current graph (stale tables produce wrong path graphs — invalidate
+    on every mutation), and the returned tables are never written to.
+
+    Cost: each Algorithm 1 window scans its two id-indexed tables side
+    by side, and the backup route is a breadth-first search that skips
+    the primary's cables and stops at the destination
+    ({!Routing.backup_route}); only a backup that cannot avoid the
+    primary in under {!Routing.primary_penalty} hops runs the weighted
+    Dijkstra over the whole fabric. *)
 
 val src : t -> host_id
 

@@ -32,18 +32,20 @@ let bfs_distances adj ~from =
 (* BFS from [dst] gives distances-to-destination; we then walk from
    [src] greedily to any neighbour one step closer, picking uniformly at
    random among the candidates when [rng] is provided. This yields a
-   uniform-ish choice among shortest routes without enumerating them. *)
+   uniform-ish choice among shortest routes without enumerating them.
+   [dist] reads a table (negative = unreachable), so the same walk runs
+   over the closure BFS's Hashtbl and the controller's id-indexed
+   arrays. *)
 let route_via_distances ?rng adj ~src ~dst dist =
-  match Hashtbl.find_opt dist src with
-  | None -> None
-  | Some d0 ->
+  let d0 = dist src in
+  if d0 < 0 then None
+  else
     let pick_next sw d =
       let candidates =
         List.filter_map
           (fun (_, peer, _) ->
-            match Hashtbl.find_opt dist peer with
-            | Some dp when dp = d - 1 -> Some peer
-            | Some _ | None -> None)
+            let dp = dist peer in
+            if dp >= 0 && dp = d - 1 then Some peer else None)
           (adj sw)
         |> List.sort_uniq compare
       in
@@ -65,7 +67,10 @@ let shortest_route ?rng adj ~src ~dst =
   if src = dst then Some [ src ]
   else begin
     let dist = bfs_distances adj ~from:dst in
-    route_via_distances ?rng adj ~src ~dst dist
+    route_via_distances ?rng adj ~src ~dst (fun sw ->
+        match Hashtbl.find_opt dist sw with
+        | Some d -> d
+        | None -> -1)
   end
 
 let filtered_adjacency ~banned_nodes ~banned_edges adj =
@@ -135,6 +140,29 @@ let weighted_route ~weight adj ~src ~dst =
     in
     backtrack dst []
   end
+
+let primary_penalty = 100
+
+let penalize route =
+  let rec pairs acc = function
+    | [] | [ _ ] -> acc
+    | a :: (b :: _ as rest) -> pairs ((a, b) :: acc) rest
+  in
+  let on_route = pairs [] route in
+  fun (e1 : link_end) (e2 : link_end) ->
+    if List.exists (fun (a, b) -> (a = e1.sw && b = e2.sw) || (a = e2.sw && b = e1.sw)) on_route
+    then float_of_int primary_penalty
+    else 1.
+
+(* Exact shortcut for [weighted_route ~weight:(penalize primary)]: the
+   penalized Dijkstra breaks ties FIFO, so while its frontier stays
+   below [primary_penalty] it pops and relaxes in exactly the order of
+   a BFS that skips the primary's cables (DESIGN.md §13). *)
+let backup_route snap ~primary ~src ~dst =
+  match Adjacency.route_avoiding snap ~avoid:primary ~max_hops:primary_penalty ~src ~dst with
+  | Adjacency.Route r -> Some r
+  | Adjacency.Too_long | Adjacency.Unreachable ->
+    weighted_route ~weight:(penalize primary) (Adjacency.fn snap) ~src ~dst
 
 (* Yen's k-shortest loop-free routes. Candidate spur routes are kept in
    a heap ordered by length; deviations ban the edges of already-chosen

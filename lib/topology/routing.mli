@@ -17,11 +17,12 @@ val route_via_distances :
   Path.adjacency ->
   src:switch_id ->
   dst:switch_id ->
-  (switch_id, int) Hashtbl.t ->
+  (switch_id -> int) ->
   switch_id list option
-(** Walk from [src] toward [dst] given a distance-to-[dst] table (as
-    from [bfs_distances ~from:dst]) — the table must be treated as
-    read-only, so one BFS can serve many source switches (the
+(** Walk from [src] toward [dst] given a distance-to-[dst] accessor (a
+    table from [bfs_distances ~from:dst] or {!Adjacency.bfs_distances}
+    read through a function; negative means unreachable). The table is
+    only read, so one BFS can serve many source switches (the
     controller's distance cache relies on exactly this). Equivalent to
     {!shortest_route} when the table is fresh. *)
 
@@ -52,8 +53,24 @@ val weighted_route :
   src:switch_id ->
   dst:switch_id ->
   switch_id list option
-(** Dijkstra with per-link weights; used to generate backup paths by
-    penalising links of the primary path. *)
+(** Dijkstra with per-link weights, ties broken FIFO; used to
+    generate backup paths by penalising links of the primary path. *)
+
+val primary_penalty : int
+(** Weight of a cable joining two switches adjacent on the primary
+    route in backup searches (every other cable weighs 1): 100. *)
+
+val penalize : switch_id list -> link_end -> link_end -> float
+(** [penalize route] is the backup-search weight: {!primary_penalty}
+    for a cable whose ends are adjacent on [route], 1 otherwise. *)
+
+val backup_route :
+  Adjacency.t -> primary:switch_id list -> src:switch_id -> dst:switch_id -> switch_id list option
+(** The route [weighted_route ~weight:(penalize primary)] returns on
+    the snapshot, found by {!Adjacency.route_avoiding} whenever a
+    route avoiding the primary's cables has fewer than
+    {!primary_penalty} hops, else by that Dijkstra itself. [primary]
+    must be loop-free. *)
 
 val k_shortest_routes :
   ?rng:Dumbnet_util.Rng.t ->

@@ -257,6 +257,159 @@ let failover_within_subgraph_prop =
               | None -> true)
             (keys [] primary.Path.hops))
 
+(* --- backup search: primary-avoiding BFS = penalized Dijkstra --- *)
+
+(* The reference the BFS shortcut must reproduce exactly. *)
+let penalized_route snap ~primary ~src ~dst =
+  Routing.weighted_route ~weight:(Routing.penalize primary) (Adjacency.fn snap) ~src ~dst
+
+let random_fabric rng =
+  let built =
+    match Rng.int rng 3 with
+    | 0 -> Builder.fat_tree ~k:4 ()
+    | 1 -> Builder.fat_tree ~k:8 ()
+    | _ ->
+      Builder.random_regular ~rng ~switches:(16 + Rng.int rng 49) ~degree:4 ~hosts_per_switch:1 ()
+  in
+  let g = built.Builder.graph in
+  (* Fail roughly one cable in eight: bridges and detours appear. *)
+  List.iter
+    (fun (key, _) ->
+      if Rng.int rng 8 = 0 then Graph.set_link_state g (fst (Link_key.ends key)) ~up:false)
+    (Graph.switch_links g);
+  g
+
+let backup_search_prop =
+  QCheck.Test.make ~name:"backup BFS = penalized Dijkstra under failures" ~count:60
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_fabric rng in
+      let snap = Graph.adjacency g in
+      let switches = Array.of_list (Graph.switch_ids g) in
+      List.for_all
+        (fun _ ->
+          let src = Rng.pick_array rng switches in
+          let dst = Rng.pick_array rng switches in
+          match Routing.shortest_route ~rng (Adjacency.fn snap) ~src ~dst with
+          | None -> true
+          | Some primary ->
+            Routing.backup_route snap ~primary ~src ~dst
+            = penalized_route snap ~primary ~src ~dst)
+        (List.init 12 Fun.id))
+
+(* A ring of 202 switches: the primary-avoiding route exists but runs
+   the long way round, 199 hops, so the search falls back to Dijkstra. *)
+let test_backup_fallback_too_long () =
+  let n = 202 in
+  let g = (Builder.linear ~n ()).Builder.graph in
+  Graph.connect g { sw = n - 1; port = 2 } { sw = 0; port = 1 };
+  let snap = Graph.adjacency g in
+  let primary = [ 0; 1; 2; 3 ] in
+  (match
+     Adjacency.route_avoiding snap ~avoid:primary ~max_hops:Routing.primary_penalty ~src:0 ~dst:3
+   with
+  | Adjacency.Too_long -> ()
+  | Adjacency.Route _ | Adjacency.Unreachable -> Alcotest.fail "expected the too-long branch");
+  let got = Routing.backup_route snap ~primary ~src:0 ~dst:3 in
+  check Alcotest.(option (list int)) "matches Dijkstra" (penalized_route snap ~primary ~src:0 ~dst:3) got;
+  check Alcotest.(option int) "long way round" (Some (n - 2)) (Option.map List.length got);
+  (* End to end: hosts 0 and 3 get that disjoint backup path. *)
+  match Pathgraph.backup (gen g ~src:0 ~dst:3) with
+  | Some b -> check Alcotest.int "path-graph backup" (n - 2) (Path.length b)
+  | None -> Alcotest.fail "ring has a disjoint backup"
+
+(* A line: no route avoids the primary, so the search falls back to
+   Dijkstra, which can only return the primary itself. *)
+let test_backup_fallback_unreachable () =
+  let g = (Builder.linear ~n:6 ()).Builder.graph in
+  let snap = Graph.adjacency g in
+  let primary = [ 1; 2; 3; 4 ] in
+  (match
+     Adjacency.route_avoiding snap ~avoid:primary ~max_hops:Routing.primary_penalty ~src:1 ~dst:4
+   with
+  | Adjacency.Unreachable -> ()
+  | Adjacency.Route _ | Adjacency.Too_long -> Alcotest.fail "expected the unreachable branch");
+  let got = Routing.backup_route snap ~primary ~src:1 ~dst:4 in
+  check Alcotest.(option (list int)) "matches Dijkstra" (penalized_route snap ~primary ~src:1 ~dst:4) got;
+  check Alcotest.(option (list int)) "only the primary" (Some primary) got;
+  check Alcotest.bool "no path-graph backup" true
+    (Option.is_none (Pathgraph.backup (gen g ~src:1 ~dst:4)))
+
+(* --- golden digest of served graphs --- *)
+
+(* The bytes hosts receive for 256 seeded queries, pinned across
+   changes to how the controller computes them: any edit to Algorithm 1,
+   the distance tables or the backup search must leave these digests
+   alone. Every pool width and every shard count serves the same
+   bytes. *)
+
+module Payload = Dumbnet.Packet.Payload
+module Topo_store = Dumbnet.Control.Topo_store
+module Shard = Dumbnet.Control.Shard
+module Pool = Dumbnet.Util.Pool
+
+let seeded_pairs g ~seed ~n =
+  let rng = Rng.create seed in
+  let hosts = Array.of_list (Graph.host_ids g) in
+  let rec draw acc k =
+    if k = 0 then Array.of_list (List.rev acc)
+    else
+      let src = Rng.pick_array rng hosts in
+      let dst = Rng.pick_array rng hosts in
+      if src = dst then draw acc k else draw ((src, dst) :: acc) (k - 1)
+  in
+  draw [] n
+
+let served_digest results =
+  let buf = Buffer.create 65536 in
+  Array.iter
+    (function
+      | None -> Buffer.add_string buf "none"
+      | Some pg ->
+        Buffer.add_bytes buf (Payload.encode (Payload.Path_response (Pathgraph.to_wire pg))))
+    results;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_fat_tree () = (Builder.fat_tree ~k:8 ()).Builder.graph
+
+let golden_jellyfish () =
+  let g = (Builder.jellyfish ~switches:64 ()).Builder.graph in
+  (match Graph.switch_links g with
+  | (key, _) :: _ -> Graph.set_link_state g (fst (Link_key.ends key)) ~up:false
+  | [] -> Alcotest.fail "jellyfish without cables");
+  g
+
+let check_golden ~name ~randomized ~stitched g =
+  let pairs = seeded_pairs g ~seed:2024 ~n:256 in
+  List.iter
+    (fun jobs ->
+      let store = Topo_store.create g in
+      let results =
+        if jobs = 1 then Topo_store.serve_path_graphs ~randomize:true store pairs
+        else
+          Pool.with_pool ~jobs (fun pool ->
+              Topo_store.serve_path_graphs ~randomize:true ~pool store pairs)
+      in
+      check Alcotest.string (Printf.sprintf "%s randomized, jobs=%d" name jobs) randomized
+        (served_digest results))
+    [ 1; 2; 4 ];
+  List.iter
+    (fun shards ->
+      let shard = Shard.create ~shards g in
+      check Alcotest.string (Printf.sprintf "%s stitched, shards=%d" name shards) stitched
+        (served_digest (Shard.serve_path_graphs shard pairs)))
+    [ 1; 2; 4 ]
+
+let test_golden_fat_tree () =
+  check_golden ~name:"fat-tree k=8" ~randomized:"85d24b1d090193325df829075e186c4c"
+    ~stitched:"08697856610b225948009af4933d1f83" (golden_fat_tree ())
+
+let test_golden_jellyfish () =
+  check_golden ~name:"jellyfish-64, one cable down"
+    ~randomized:"de628096205d63e95db64d0b15dc4956"
+    ~stitched:"b98ac8af26ae96dd435549e17fd7ecac" (golden_jellyfish ())
+
 let () =
   Alcotest.run "pathgraph"
     [
@@ -287,5 +440,17 @@ let () =
         [
           QCheck_alcotest.to_alcotest pathgraph_invariants_prop;
           QCheck_alcotest.to_alcotest failover_within_subgraph_prop;
+        ] );
+      ( "backup search",
+        [
+          QCheck_alcotest.to_alcotest backup_search_prop;
+          Alcotest.test_case "fallback: disjoint route too long" `Quick
+            test_backup_fallback_too_long;
+          Alcotest.test_case "fallback: no disjoint route" `Quick test_backup_fallback_unreachable;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fat-tree k=8 digest" `Quick test_golden_fat_tree;
+          Alcotest.test_case "jellyfish-64 digest" `Quick test_golden_jellyfish;
         ] );
     ]

@@ -261,6 +261,30 @@ let test_shard_distance_ownership () =
   check Alcotest.bool "fetch split recorded" true
     (stats.Shard.local_fetches > 0 && stats.Shard.cross_fetches > 0)
 
+(* --- bench scale's memory column --- *)
+
+module Scale = Dumbnet_experiments.Scale
+
+(* A point's live-memory figure must not depend on what ran before it
+   in the same process: jellyfish-64 alone and right after the much
+   bigger fat-tree k=16 agree within 5%. *)
+let test_scale_memory_independent_of_order () =
+  Scale.quick := true;
+  let point name =
+    match List.find_opt (fun pt -> pt.Scale.pt_name = name) Scale.points with
+    | Some pt -> pt
+    | None -> Alcotest.fail ("no scale point " ^ name)
+  in
+  let jelly = point "jellyfish_64" in
+  let alone = (Scale.measure jelly).Scale.r_live_mib in
+  ignore (Scale.measure (point "fat_tree_k16"));
+  let after = (Scale.measure jelly).Scale.r_live_mib in
+  check Alcotest.bool "a point holds live memory" true (alone > 0.);
+  check Alcotest.bool
+    (Printf.sprintf "alone %.3f MiB vs after k=16 %.3f MiB within 5%%" alone after)
+    true
+    (Float.abs (after -. alone) <= 0.05 *. alone)
+
 let () =
   Alcotest.run "shard"
     [
@@ -278,5 +302,10 @@ let () =
           Alcotest.test_case "patch + probe fan-out" `Quick test_shard_patch_and_probe;
           Alcotest.test_case "ledger scoping" `Quick test_shard_ledger_scoping;
           Alcotest.test_case "distance ownership" `Quick test_shard_distance_ownership;
+        ] );
+      ( "bench scale",
+        [
+          Alcotest.test_case "live memory independent of curve order" `Quick
+            test_scale_memory_independent_of_order;
         ] );
     ]
