@@ -62,10 +62,11 @@ perf-splice:
 	     /<!-- perf-table:end -->/ { skip = 0 } \
 	     !skip { print }' README.md > README.md.tmp && mv README.md.tmp README.md
 
-# Mega-fabric scaling curve of the pod-partitioned controller; writes
-# BENCH_SCALE.json + BENCH_SCALE.md. Full curve reaches fat-tree k=48
-# and jellyfish-1024; QUICK=1 runs the small points with the regression
-# gate armed (what CI's smoke job does).
+# Mega-fabric scaling curve of the controller's path service and push
+# ledger (Topo_store + Ledger); writes BENCH_SCALE.json +
+# BENCH_SCALE.md. Full curve reaches fat-tree k=48 and jellyfish-1024;
+# QUICK=1 runs the small points with the regression gate armed (what
+# CI's smoke job does).
 QUICK ?=
 bench-scale:
 	dune exec bench/main.exe -- scale $(if $(QUICK),--quick)

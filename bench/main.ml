@@ -21,7 +21,7 @@ let experiments =
     ("telemetry", "in-band telemetry: accuracy, gray failures, TE", E.Telemetry_exp.run);
     ("perf", "hot-path and failure-repair microbenchmarks, writes BENCH_PERF.json", E.Perf.run);
     ( "scale",
-      "mega-fabric curve: sharded controller to k=48 / jellyfish-1024, writes BENCH_SCALE.json",
+      "mega-fabric curve: path service + push ledger to k=48 / jellyfish-1024, writes BENCH_SCALE.json",
       E.Scale.run );
     ( "survivability",
       "failure waves + hidden-fault localization, writes BENCH_SURVIVABILITY.json",

@@ -107,70 +107,6 @@ let topo_cmd =
     (Cmd.info "topo" ~doc:"Build a topology and print its structure.")
     Term.(const topo_run $ topo_arg $ seed_arg)
 
-(* --- partition subcommand --- *)
-
-let partition_run spec seed shards pairs =
-  with_topology spec seed (fun built ->
-      let g = built.Builder.graph in
-      let module Shard = Dumbnet.Control.Shard in
-      let sharded = Shard.create ~shards g in
-      let part = Shard.partition sharded in
-      Printf.printf "switches: %d  cables: %d  shards: %d\n" (Graph.num_switches g)
-        (List.length (Graph.switch_links g))
-        part.Partition.shards;
-      Printf.printf "cut: %d cables (%.1f%% of fabric)\n"
-        (List.length part.Partition.cut)
-        (100. *. Partition.cut_fraction part g);
-      (* Exercise the stitching layer over a pair sample so the
-         ownership report shows live numbers, not an empty controller. *)
-      let rng = Dumbnet.Util.Rng.create seed in
-      let hosts = Array.of_list built.Builder.hosts in
-      let n = Array.length hosts in
-      let served = ref 0 in
-      let attempts = max 1 pairs in
-      for _ = 1 to attempts do
-        let src = hosts.(Dumbnet.Util.Rng.int rng n) in
-        let dst = hosts.(Dumbnet.Util.Rng.int rng n) in
-        if src <> dst then
-          match Shard.serve_path_graph sharded ~src ~dst with
-          | Some pg ->
-            Shard.record_push sharded pg;
-            incr served
-          | None -> ()
-      done;
-      let roots = Shard.dist_cache_roots sharded in
-      Printf.printf "%-6s %9s %15s\n" "shard" "switches" "distance tables";
-      Array.iteri
-        (fun w size -> Printf.printf "%-6d %9d %15d\n" w size roots.(w))
-        part.Partition.sizes;
-      let stats = Shard.stitch_stats sharded in
-      Printf.printf
-        "served %d path graphs over %d queries: %d stitched across regions (%d local / %d \
-         cross distance fetches)\n"
-        !served stats.Shard.served_pairs stats.Shard.stitched_pairs stats.Shard.local_fetches
-        stats.Shard.cross_fetches;
-      Format.printf "%a@." Dumbnet.Topology.Tag_arena.pp (Shard.arena sharded);
-      0)
-
-let partition_shards_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "shards" ] ~docv:"N" ~doc:"Number of controller regions to partition into.")
-
-let partition_pairs_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "pairs" ] ~docv:"N"
-        ~doc:"Host-pair queries to push through the stitching layer for the report.")
-
-let partition_cmd =
-  Cmd.v
-    (Cmd.info "partition"
-       ~doc:
-         "Partition a fabric into controller regions and report shard ownership, cut \
-          cables, and path-stitching statistics.")
-    Term.(const partition_run $ topo_arg $ seed_arg $ partition_shards_arg $ partition_pairs_arg)
-
 (* --- discover subcommand --- *)
 
 let discover_run spec seed packet_level =
@@ -353,11 +289,11 @@ let hops_cmd =
 
 (* --- repair subcommand --- *)
 
-let repair_run spec seed jobs events coalesce_us eager verbose =
+let repair_run spec seed jobs events coalesce_us verbose =
   apply_verbosity verbose;
   with_topology spec seed (fun built ->
       let coalesce_ns = Option.map (fun us -> us * 1_000) coalesce_us in
-      let fab = Fabric.create ~seed ~jobs ?coalesce_ns ~eager_repair:eager built in
+      let fab = Fabric.create ~seed ~jobs ?coalesce_ns built in
       let ctrl = Fabric.controller fab in
       let g = Dumbnet.Sim.Network.graph (Fabric.network fab) in
       let links = Array.of_list (List.map fst (Graph.switch_links g)) in
@@ -382,13 +318,12 @@ let repair_run spec seed jobs events coalesce_us eager verbose =
         let p = Dumbnet.Host.Controller.repush_stats ctrl in
         Printf.printf
           "scoped repairs:    %d (%d full resets)\n\
-           distance tables:   %d evicted, %d retained, %d eagerly rebuilt\n\
+           distance tables:   %d evicted, %d retained\n\
            patches sent:      %d\n\
            delta re-pushes:   %d rounds, %d path graphs re-sent\n\
            push ledger:       %d cached pairs\n"
           r.Dumbnet.Control.Topo_store.repair_events r.Dumbnet.Control.Topo_store.full_resets
           r.Dumbnet.Control.Topo_store.evicted_roots r.Dumbnet.Control.Topo_store.retained_roots
-          r.Dumbnet.Control.Topo_store.eager_repairs
           (Dumbnet.Host.Controller.patches_sent ctrl)
           p.Dumbnet.Host.Controller.repair_rounds p.Dumbnet.Host.Controller.repushed_pairs
           p.Dumbnet.Host.Controller.cached_pairs;
@@ -409,12 +344,6 @@ let coalesce_arg =
           "Burst-coalescing window in microseconds: events landing inside it leave as one \
            combined patch and one delta re-push (default: patch immediately).")
 
-let eager_arg =
-  Arg.(
-    value & flag
-    & info [ "eager" ]
-        ~doc:"Rebuild evicted distance tables on the spot instead of on first use.")
-
 let repair_cmd =
   Cmd.v
     (Cmd.info "repair"
@@ -423,7 +352,7 @@ let repair_cmd =
           (scoped cache eviction, delta re-pushes).")
     Term.(
       const repair_run $ topo_arg $ seed_arg $ jobs_arg $ repair_events_arg $ coalesce_arg
-      $ eager_arg $ verbose_arg)
+      $ verbose_arg)
 
 (* --- telemetry subcommand --- *)
 
@@ -739,7 +668,6 @@ let () =
        (Cmd.group info
           [
             topo_cmd;
-            partition_cmd;
             discover_cmd;
             simulate_cmd;
             hops_cmd;

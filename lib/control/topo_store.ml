@@ -10,7 +10,6 @@ type repair_stats = {
   repair_events : int;
   evicted_roots : int;
   retained_roots : int;
-  eager_repairs : int;
   full_resets : int;
 }
 
@@ -40,13 +39,11 @@ type t = {
      generation move NOT routed through apply_event /
      record_discovered_link is out-of-band and drops everything. *)
   mutable dist_gen : int;
-  eager_repair : bool;
   mutable dist_hits : int;
   mutable dist_misses : int;
   mutable repair_events : int;
   mutable evicted_roots : int;
   mutable retained_roots : int;
-  mutable eager_repairs : int;
   mutable full_resets : int;
   (* Single-writer rule: while a batch is in flight the graph and the
      shared distance cache are frozen — worker domains read them
@@ -59,7 +56,7 @@ type outcome =
   | Ignored
   | Needs_probe of link_end
 
-let create ?(eager_repair = false) g =
+let create g =
   {
     g = Graph.copy g;
     dedup = Event_dedup.create ();
@@ -69,13 +66,11 @@ let create ?(eager_repair = false) g =
     link_users = Hashtbl.create 64;
     root_links = Hashtbl.create 64;
     dist_gen = -1;
-    eager_repair;
     dist_hits = 0;
     dist_misses = 0;
     repair_events = 0;
     evicted_roots = 0;
     retained_roots = 0;
-    eager_repairs = 0;
     full_resets = 0;
     in_batch = false;
   }
@@ -143,18 +138,11 @@ let unregister_root t from =
       keys);
   Hashtbl.remove t.root_links from
 
-(* Evict one stale table; under [eager_repair] immediately recompute it
-   (bounded to this one BFS) so the post-failure query storm finds the
-   cache already warm. *)
+(* Evict one stale table; the next lookup from [from] recomputes it. *)
 let evict_root t from =
   Hashtbl.remove t.dist_cache from;
   unregister_root t from;
-  t.evicted_roots <- t.evicted_roots + 1;
-  if t.eager_repair then begin
-    let d = Adjacency.bfs_distances (Graph.adjacency t.g) ~from in
-    insert_table t from d;
-    t.eager_repairs <- t.eager_repairs + 1
-  end
+  t.evicted_roots <- t.evicted_roots + 1
 
 let[@dumbnet.hot] reset_cache t =
   Hashtbl.reset t.dist_cache;
@@ -228,7 +216,6 @@ let repair_stats t : repair_stats =
     repair_events = t.repair_events;
     evicted_roots = t.evicted_roots;
     retained_roots = t.retained_roots;
-    eager_repairs = t.eager_repairs;
     full_resets = t.full_resets;
   }
 

@@ -13,13 +13,8 @@ open Dumbnet_packet
 
 type t
 
-val create : ?eager_repair:bool -> Graph.t -> t
-(** Takes its own copy of the graph. With [eager_repair] (default
-    false), a link event not only evicts the affected memoized BFS
-    tables but recomputes each of them on the spot — one bounded BFS
-    per affected root — so the post-failure query storm finds the
-    cache already warm. Answers are identical either way; only when
-    the BFS work happens differs. *)
+val create : Graph.t -> t
+(** Takes its own copy of the graph. *)
 
 val graph : t -> Graph.t
 
@@ -130,7 +125,6 @@ type repair_stats = {
   repair_events : int;  (** switch-link events repaired in place *)
   evicted_roots : int;  (** memoized tables dropped by scoped eviction *)
   retained_roots : int;  (** tables that provably survived an event *)
-  eager_repairs : int;  (** evictions recomputed on the spot ([eager_repair]) *)
   full_resets : int;
       (** wholesale cache drops: explicit {!invalidate_dist_cache} calls
           or out-of-band graph mutations the repair could not scope *)

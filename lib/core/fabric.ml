@@ -40,7 +40,7 @@ let run ?for_ns t =
   | None -> Engine.run t.eng
   | Some d -> Engine.run ~until_ns:(Engine.now t.eng + d) t.eng
 
-let create ?config ?(seed = 42) ?k ?s ?eps ?jobs ?replicas ?coalesce_ns ?eager_repair
+let create ?config ?(seed = 42) ?k ?s ?eps ?jobs ?replicas ?coalesce_ns
     ?(packet_level_discovery = false) built =
   let rng = Rng.create seed in
   let eng = Engine.create () in
@@ -69,7 +69,7 @@ let create ?config ?(seed = 42) ?k ?s ?eps ?jobs ?replicas ?coalesce_ns ?eager_r
     | None -> failwith "Fabric.create: topology discovery failed (controller detached?)"
   in
   let ctrl =
-    Controller.create ?replicas ?s ?eps ?jobs ?coalesce_ns ?eager_repair ~agent:ctrl_agent
+    Controller.create ?replicas ?s ?eps ?jobs ?coalesce_ns ~agent:ctrl_agent
       ~topology:disco.Dumbnet_control.Discovery.topology
       ~hosts:built.Builder.hosts ()
   in

@@ -23,7 +23,6 @@ val create :
   ?jobs:int ->
   ?replicas:int ->
   ?coalesce_ns:int ->
-  ?eager_repair:bool ->
   ?packet_level_discovery:bool ->
   Builder.built ->
   t
@@ -32,7 +31,7 @@ val create :
     [s]/[eps]: Algorithm-1 knobs; [jobs] (default 1): the controller's
     path-graph batch parallelism — bootstrap and post-failure pushes
     fan out over that many domains, with answers byte-identical to
-    [jobs = 1]; [coalesce_ns]/[eager_repair] tune the controller's
+    [jobs = 1]; [coalesce_ns] tunes the controller's
     incremental failure repair (see {!Dumbnet_host.Controller.create});
     [packet_level_discovery] sends real probe frames through the
     simulator instead of using the fast oracle (identical protocol,

@@ -15,3 +15,19 @@ let measure_ns ~name f =
     | Some (ns :: _) -> ns
     | Some [] | None -> nan)
   | _ -> nan
+
+let parse_max_regression = function
+  | None -> Ok 2.0
+  | Some s -> (
+    match float_of_string_opt (String.trim s) with
+    | Some m when Float.is_finite m && m > 0. -> Ok m
+    | Some _ | None ->
+      Error
+        (Printf.sprintf "DUMBNET_PERF_MAX_REGRESSION=%S: expected a finite number > 0" s))
+
+let max_regression () =
+  match parse_max_regression (Sys.getenv_opt "DUMBNET_PERF_MAX_REGRESSION") with
+  | Ok m -> m
+  | Error msg ->
+    prerr_endline ("error: " ^ msg);
+    exit 2

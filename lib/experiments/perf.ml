@@ -89,11 +89,6 @@ let committed : (string * float) list =
     ("sim_drain_hops_per_sec_jellyfish_1024", 2895283.);
   ]
 
-let max_regression =
-  match Sys.getenv_opt "DUMBNET_PERF_MAX_REGRESSION" with
-  | Some s -> (try float_of_string s with _ -> 2.0)
-  | None -> 2.0
-
 (* Run [f] repeatedly for ~[budget_s] wall seconds (after one warmup
    call) and return calls/sec. [batch] amortizes the clock reads. *)
 let ops_per_sec ?(batch = 1) ~budget_s f =
@@ -508,7 +503,7 @@ let jobs1_ops rows =
   | Some (_, _, ops) -> ops
   | None -> 0.
 
-let write_json results scaling sim_scaling drain ~minor_words conv =
+let write_json ~max_regression results scaling sim_scaling drain ~minor_words conv =
   let oc = open_out json_path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -684,6 +679,7 @@ let write_markdown results sim_scaling drain ~minor_words =
   close_out oc
 
 let run () =
+  let max_regression = Bench_util.max_regression () in
   Report.section ~id:"Perf" ~title:"hot-path microbenchmarks (BENCH_PERF.json)";
   let ft8 = Builder.fat_tree ~k:8 () in
   let jelly = Builder.jellyfish ~switches:64 () in
@@ -789,7 +785,7 @@ let run () =
       [ "regen phase/event"; Printf.sprintf "%.2f ms" conv.conv_regen_ms_per_event ];
       [ "push phase/event"; Printf.sprintf "%.2f ms" conv.conv_push_ms_per_event ];
     ];
-  write_json results scaling sim_scaling drain ~minor_words conv;
+  write_json ~max_regression results scaling sim_scaling drain ~minor_words conv;
   write_markdown results sim_scaling drain ~minor_words;
   Report.note (Printf.sprintf "wrote %s and %s" json_path md_path);
   if !quick then begin

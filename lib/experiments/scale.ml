@@ -1,7 +1,8 @@
-(** `bench scale`: the mega-fabric curve of the pod-partitioned
-    controller — path graphs/sec, live memory, interned vs raw
-    bytes per cached (src, dst) pair, and failure repair-scoping vs
-    fabric size — across fat trees k ∈ {8, 16, 32, 48} and jellyfish
+(** `bench scale`: the mega-fabric curve of the controller's path
+    service ({!Dumbnet_control.Topo_store}) and push ledger
+    ({!Dumbnet_control.Ledger}) — path graphs/sec, live memory, interned
+    vs raw bytes per cached (src, dst) pair, and failure repair-scoping
+    vs fabric size — across fat trees k ∈ {8, 16, 32, 48} and jellyfish
     {64, 256, 1024}. Writes BENCH_SCALE.json and BENCH_SCALE.md (the
     README's scale table, spliced by `make scale-table`). With [quick]
     set (`bench scale --quick`), only the small points run, budgets
@@ -10,7 +11,8 @@
 
 open Dumbnet_topology
 open Dumbnet_packet
-module Shard = Dumbnet_control.Shard
+module Topo_store = Dumbnet_control.Topo_store
+module Ledger = Dumbnet_control.Ledger
 module Tag_arena = Dumbnet_topology.Tag_arena
 module Rng = Dumbnet_util.Rng
 
@@ -19,11 +21,6 @@ let quick = ref false
 let json_path = "BENCH_SCALE.json"
 
 let md_path = "BENCH_SCALE.md"
-
-let max_regression =
-  match Sys.getenv_opt "DUMBNET_PERF_MAX_REGRESSION" with
-  | Some s -> (try float_of_string s with _ -> 2.0)
-  | None -> 2.0
 
 (* CI smoke floors (`--quick`): committed throughput of the gated small
    points on the reference machine. A fresh quick run must reach
@@ -75,11 +72,6 @@ let points =
     };
   ]
 
-(* One region per ~40 switches, capped at 16: k=16 gets its 8 pods'
-   worth of shards, k=48 and jellyfish-1024 the full 16. Deterministic
-   so the curve is comparable across runs and machines. *)
-let shard_count switches = max 2 (min 16 (switches / 40))
-
 (* --- measurement helpers ---------------------------------------------- *)
 
 let now () = Unix.gettimeofday ()
@@ -113,11 +105,7 @@ type result = {
   r_switches : int;
   r_hosts : int;
   r_cables : int;
-  r_shards : int;
-  r_cut_fraction : float;
-  r_partition_ms : float;
   r_graphs_per_sec : float;
-  r_stitched_fraction : float;  (** served pairs needing a cross-shard fetch *)
   r_ledger_pairs : int;
   r_interned_bytes_per_pair : float;
   r_uninterned_bytes_per_pair : float;
@@ -127,7 +115,6 @@ type result = {
   r_repair_events : int;
   r_affected_per_event : float;
   r_scoping_factor : float;  (** cached pairs / affected per event *)
-  r_indexes_per_event : float;  (** shard subscription indexes consulted *)
   r_evicted_per_event : float;
   r_retained_per_event : float;
   r_live_mib : float;  (** live heap the point's fabric and controller hold *)
@@ -145,34 +132,26 @@ let measure pt =
   let g = built.Builder.graph in
   let switches = Graph.num_switches g in
   let cables = List.length (Graph.switch_links g) in
-  let shards = shard_count switches in
-  let t0 = now () in
-  let sharded = Shard.create ~shards g in
-  let partition_ms = (now () -. t0) *. 1000. in
-  let part = Shard.partition sharded in
+  let store = Topo_store.create g in
+  let ledger = Ledger.create () in
   (* Throughput: rotate through a fixed pair sample, exactly how the
      query service sees bootstrap and re-push storms. The first lap
      pays the BFS memoization; steady state is what's metered. *)
   let rng = Rng.create 7 in
   let tp_pairs = sample_pairs built rng (if !quick then 24 else 64) in
   let tp_n = Array.length tp_pairs in
-  Array.iter (fun (src, dst) -> ignore (Shard.serve_path_graph sharded ~src ~dst)) tp_pairs;
+  Array.iter (fun (src, dst) -> ignore (Topo_store.serve_path_graph store ~src ~dst)) tp_pairs;
   let budget = if !quick then 0.2 else 1.0 in
   let t0 = now () in
   let served = ref 0 in
   let elapsed = ref 0. in
   while !elapsed < budget do
     let src, dst = tp_pairs.(!served mod tp_n) in
-    ignore (Shard.serve_path_graph sharded ~src ~dst);
+    ignore (Topo_store.serve_path_graph store ~src ~dst);
     incr served;
     elapsed := now () -. t0
   done;
   let graphs_per_sec = float_of_int !served /. !elapsed in
-  let stitch = Shard.stitch_stats sharded in
-  let stitched_fraction =
-    if stitch.Shard.served_pairs = 0 then 0.
-    else float_of_int stitch.Shard.stitched_pairs /. float_of_int stitch.Shard.served_pairs
-  in
   (* Memory budget: push a ledger of distinct pairs through the shared
      arena, and price the same path graphs held raw — the
      representation the controller shipped before interning. *)
@@ -181,23 +160,22 @@ let measure pt =
   let subscribed = ref Types.Link_set.empty in
   Array.iter
     (fun (src, dst) ->
-      match Shard.serve_path_graph sharded ~src ~dst with
+      match Topo_store.serve_path_graph store ~src ~dst with
       | None -> ()
       | Some pg ->
-        Shard.record_push sharded pg;
+        Ledger.record_push ledger (Pathgraph.to_wire pg);
         subscribed := Types.Link_set.union !subscribed (Pathgraph.links pg);
         Hashtbl.replace raw (src, dst) pg)
     ledger_pairs;
-  let pushed = Shard.cached_pairs sharded in
+  let pushed = Ledger.pairs ledger in
   let per_pair words = float_of_int (words * word_bytes) /. float_of_int (max 1 pushed) in
-  let interned_bytes_per_pair = per_pair (Shard.ledger_words sharded) in
+  let interned_bytes_per_pair = per_pair (Ledger.words ledger) in
   let uninterned_bytes_per_pair = per_pair (Obj.reachable_words (Obj.repr raw)) in
   Hashtbl.reset raw;
-  let arena = Shard.arena sharded in
+  let arena = Ledger.arena ledger in
   (* Repair scoping: fail cables one at a time (restoring off the
      books) and count how much of the fabric each one drags in —
-     invalidated ledger pairs, subscription indexes consulted, distance
-     tables evicted vs retained. Failures are drawn from the cables the
+     invalidated ledger pairs, distance tables evicted vs retained. Failures are drawn from the cables the
      ledger actually covers: at mega-fabric sizes a sampled ledger
      subscribes a thin slice of all cables, and failing an uncovered
      cable measures nothing. *)
@@ -205,36 +183,31 @@ let measure pt =
   let cable_keys = Array.of_list (Types.Link_set.elements !subscribed) in
   let seq = ref 0 in
   let affected_total = ref 0 in
-  let consulted0 = Shard.subs_shards_consulted sharded in
-  let stats0 = Shard.repair_stats sharded in
+  let stats0 = Topo_store.repair_stats store in
   for _ = 1 to repair_events do
     let key = cable_keys.(Rng.int rng (Array.length cable_keys)) in
     let a, b = Types.Link_key.ends key in
     incr seq;
-    ignore (Shard.apply_event sharded { Payload.position = a; up = false; event_seq = !seq });
+    ignore (Topo_store.apply_event store { Payload.position = a; up = false; event_seq = !seq });
     affected_total :=
-      !affected_total + List.length (Shard.affected_pairs sharded [ Payload.Link_failed (a, b) ]);
+      !affected_total + List.length (Ledger.affected_pairs ledger [ Payload.Link_failed (a, b) ]);
     incr seq;
-    ignore (Shard.apply_event sharded { Payload.position = a; up = true; event_seq = !seq })
+    ignore (Topo_store.apply_event store { Payload.position = a; up = true; event_seq = !seq })
   done;
-  let stats1 = Shard.repair_stats sharded in
+  let stats1 = Topo_store.repair_stats store in
   let per_event v = float_of_int v /. float_of_int repair_events in
   let affected_per_event = per_event !affected_total in
   let live_mib =
     float_of_int ((live_words () - live0) * word_bytes) /. (1024. *. 1024.)
   in
   (* Keep the fabric and controller reachable until the count above. *)
-  ignore (Sys.opaque_identity (built, sharded));
+  ignore (Sys.opaque_identity (built, store, ledger));
   {
     r_name = pt.pt_name;
     r_switches = switches;
     r_hosts = List.length built.Builder.hosts;
     r_cables = cables;
-    r_shards = shards;
-    r_cut_fraction = Partition.cut_fraction part g;
-    r_partition_ms = partition_ms;
     r_graphs_per_sec = graphs_per_sec;
-    r_stitched_fraction = stitched_fraction;
     r_ledger_pairs = pushed;
     r_interned_bytes_per_pair = interned_bytes_per_pair;
     r_uninterned_bytes_per_pair = uninterned_bytes_per_pair;
@@ -245,20 +218,17 @@ let measure pt =
     r_affected_per_event = affected_per_event;
     r_scoping_factor =
       (if affected_per_event > 0. then float_of_int pushed /. affected_per_event else 0.);
-    r_indexes_per_event = per_event (Shard.subs_shards_consulted sharded - consulted0);
     r_evicted_per_event =
-      per_event (stats1.Dumbnet_control.Topo_store.evicted_roots
-                 - stats0.Dumbnet_control.Topo_store.evicted_roots);
+      per_event (stats1.Topo_store.evicted_roots - stats0.Topo_store.evicted_roots);
     r_retained_per_event =
-      per_event (stats1.Dumbnet_control.Topo_store.retained_roots
-                 - stats0.Dumbnet_control.Topo_store.retained_roots);
+      per_event (stats1.Topo_store.retained_roots - stats0.Topo_store.retained_roots);
     r_live_mib = live_mib;
     r_point_s = now () -. t_start;
   }
 
 (* --- output ------------------------------------------------------------ *)
 
-let write_json results =
+let write_json ~max_regression results =
   let oc = open_out json_path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -274,19 +244,17 @@ let write_json results =
     | [] -> ()
     | r :: rest ->
       p "    {\"name\": \"%s\", \"switches\": %d, \"hosts\": %d, \"cables\": %d, \
-         \"shards\": %d, \"cut_fraction\": %.4f, \"partition_ms\": %.1f, \
-         \"pathgraphs_per_sec\": %.1f, \"stitched_fraction\": %.3f, \"ledger_pairs\": %d, \
+         \"pathgraphs_per_sec\": %.1f, \"ledger_pairs\": %d, \
          \"interned_bytes_per_pair\": %.1f, \"uninterned_bytes_per_pair\": %.1f, \
          \"arena_stacks\": %d, \"arena_bytes\": %d, \"arena_interns\": %d, \
          \"repair_events\": %d, \"affected_pairs_per_event\": %.2f, \
-         \"repair_scoping_factor\": %.1f, \"subs_indexes_per_event\": %.2f, \
+         \"repair_scoping_factor\": %.1f, \
          \"evicted_roots_per_event\": %.1f, \"retained_roots_per_event\": %.1f, \
          \"live_mib\": %.1f, \"point_seconds\": %.1f}%s\n"
-        r.r_name r.r_switches r.r_hosts r.r_cables r.r_shards r.r_cut_fraction r.r_partition_ms
-        r.r_graphs_per_sec r.r_stitched_fraction r.r_ledger_pairs r.r_interned_bytes_per_pair
+        r.r_name r.r_switches r.r_hosts r.r_cables r.r_graphs_per_sec r.r_ledger_pairs
+        r.r_interned_bytes_per_pair
         r.r_uninterned_bytes_per_pair r.r_arena_stacks r.r_arena_bytes r.r_arena_interns
-        r.r_repair_events r.r_affected_per_event r.r_scoping_factor r.r_indexes_per_event
-        r.r_evicted_per_event r.r_retained_per_event r.r_live_mib r.r_point_s
+        r.r_repair_events r.r_affected_per_event r.r_scoping_factor r.r_evicted_per_event r.r_retained_per_event r.r_live_mib r.r_point_s
         (if rest = [] then "" else ",");
       rows rest
   in
@@ -298,13 +266,13 @@ let write_json results =
 let write_markdown results =
   let oc = open_out md_path in
   let p fmt = Printf.fprintf oc fmt in
-  p "| fabric | switches | hosts | shards | path graphs/s | B/pair interned | B/pair raw | \
+  p "| fabric | switches | hosts | path graphs/s | B/pair interned | B/pair raw | \
      compression | repair scoping | live MiB |\n";
-  p "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
+  p "|---|---:|---:|---:|---:|---:|---:|---:|---:|\n";
   List.iter
     (fun r ->
-      p "| %s | %d | %d | %d | %.0f | %.0f | %.0f | %.1fx | %.0fx | %.1f |\n" r.r_name
-        r.r_switches r.r_hosts r.r_shards r.r_graphs_per_sec r.r_interned_bytes_per_pair
+      p "| %s | %d | %d | %.0f | %.0f | %.0f | %.1fx | %.0fx | %.1f |\n" r.r_name
+        r.r_switches r.r_hosts r.r_graphs_per_sec r.r_interned_bytes_per_pair
         r.r_uninterned_bytes_per_pair
         (if r.r_interned_bytes_per_pair > 0. then
            r.r_uninterned_bytes_per_pair /. r.r_interned_bytes_per_pair
@@ -316,8 +284,9 @@ let write_markdown results =
 let assoc name l = try List.assoc name l with Not_found -> 0.
 
 let run () =
+  let max_regression = Bench_util.max_regression () in
   Report.section ~id:"Scale"
-    ~title:"mega-fabric curve: sharded controller + interned storage (BENCH_SCALE.json)";
+    ~title:"mega-fabric curve: controller store + interned push ledger (BENCH_SCALE.json)";
   let selected = List.filter (fun pt -> (not !quick) || pt.pt_small) points in
   let results =
     List.map
@@ -325,14 +294,9 @@ let run () =
         let r = measure pt in
         Report.note
           (Printf.sprintf
-             "%s: %d sw / %d hosts, %d shards (cut %.1f%%, %.0f ms to partition) — %.0f path \
-              graphs/s (%.0f%% stitched), %.0f B/pair interned vs %.0f raw, scoping %.0fx, \
-              %.1f MiB live [%.1fs]"
-             r.r_name r.r_switches r.r_hosts r.r_shards
-             (100. *. r.r_cut_fraction)
-             r.r_partition_ms r.r_graphs_per_sec
-             (100. *. r.r_stitched_fraction)
-             r.r_interned_bytes_per_pair r.r_uninterned_bytes_per_pair r.r_scoping_factor
+             "%s: %d sw / %d hosts — %.0f path graphs/s, %.0f B/pair interned vs %.0f raw, \
+              scoping %.0fx, %.1f MiB live [%.1fs]"
+             r.r_name r.r_switches r.r_hosts r.r_graphs_per_sec r.r_interned_bytes_per_pair r.r_uninterned_bytes_per_pair r.r_scoping_factor
              r.r_live_mib r.r_point_s);
         r)
       selected
@@ -340,15 +304,13 @@ let run () =
   Report.table
     ~headers:
       [
-        "fabric"; "switches"; "shards"; "graphs/s"; "B/pair int"; "B/pair raw"; "scoping";
-        "live MiB";
+        "fabric"; "switches"; "graphs/s"; "B/pair int"; "B/pair raw"; "scoping"; "live MiB";
       ]
     (List.map
        (fun r ->
          [
            r.r_name;
            string_of_int r.r_switches;
-           string_of_int r.r_shards;
            Printf.sprintf "%.0f" r.r_graphs_per_sec;
            Printf.sprintf "%.0f" r.r_interned_bytes_per_pair;
            Printf.sprintf "%.0f" r.r_uninterned_bytes_per_pair;
@@ -356,7 +318,7 @@ let run () =
            Printf.sprintf "%.1f" r.r_live_mib;
          ])
        results);
-  write_json results;
+  write_json ~max_regression results;
   write_markdown results;
   Report.note (Printf.sprintf "wrote %s and %s" json_path md_path);
   if !quick then begin

@@ -4,6 +4,7 @@ open Dumbnet_packet
 open Dumbnet_sim
 module Topo_store = Dumbnet_control.Topo_store
 module Replica = Dumbnet_control.Replica
+module Ledger = Dumbnet_control.Ledger
 module Discovery = Dumbnet_control.Discovery
 module Probe_walk = Dumbnet_control.Probe_walk
 module Pool = Dumbnet_util.Pool
@@ -31,12 +32,10 @@ type t = {
   coalesce_ns : int option;
   others : host_id list;
   (* Every path graph the controller has pushed (bootstrap, query
-     responses, repairs), keyed by (src, dst), plus the inverted
-     subscription index: cable -> the pairs whose generated subgraph
-     contains it. A failure re-pushes exactly the subscribed pairs —
-     the delta re-push that replaces the wholesale post-patch storm. *)
-  pushed : (host_id * host_id, Pathgraph.t) Hashtbl.t;
-  subs : (Link_key.t, (host_id * host_id, unit) Hashtbl.t) Hashtbl.t;
+     responses, repairs) and the cable -> pairs subscription index. A
+     failure re-pushes exactly the subscribed pairs — the delta re-push
+     that replaces the wholesale post-patch storm. *)
+  ledger : Ledger.t;
   mutable patches : int;
   mutable repair_rounds : int;
   mutable repushed_pairs : int;
@@ -78,81 +77,18 @@ let serve_batch t queries =
        byte-identical to the pooled path. *)
     Topo_store.serve_path_graphs ~s:t.s ~eps:t.eps t.store queries
 
-(* --- the pushed-pair ledger and its link subscription index --- *)
+let cached_pairs t = Ledger.pair_list t.ledger
 
-let unsubscribe t pair =
-  match Hashtbl.find_opt t.pushed pair with
-  | None -> ()
-  | Some pg ->
-    Link_set.iter
-      (fun key ->
-        match Hashtbl.find_opt t.subs key with
-        | None -> ()
-        | Some pairs ->
-          Hashtbl.remove pairs pair;
-          if Hashtbl.length pairs = 0 then Hashtbl.remove t.subs key)
-      (Pathgraph.links pg);
-    Hashtbl.remove t.pushed pair
-
-let record_push t ~src ~dst pg =
-  let pair = (src, dst) in
-  unsubscribe t pair;
-  Hashtbl.replace t.pushed pair pg;
-  Link_set.iter
-    (fun key ->
-      let pairs =
-        match Hashtbl.find_opt t.subs key with
-        | Some p -> p
-        | None ->
-          let p = Hashtbl.create 8 in
-          Hashtbl.replace t.subs key p;
-          p
-      in
-      Hashtbl.replace pairs pair ())
-    (Pathgraph.links pg)
-
-let cached_pairs t = List.sort compare (Hashtbl.fold (fun pair _ acc -> pair :: acc) t.pushed [])
-
-let cached_graph t ~src ~dst = Hashtbl.find_opt t.pushed (src, dst)
+let cached_graph t ~src ~dst = Ledger.cached_graph t.ledger ~src ~dst
 
 let repush_stats t : repush_stats =
   {
     repair_rounds = t.repair_rounds;
     repushed_pairs = t.repushed_pairs;
-    cached_pairs = Hashtbl.length t.pushed;
+    cached_pairs = Ledger.pairs t.ledger;
     regen_s = t.regen_s;
     push_s = t.push_s;
   }
-
-(* Which pushed pairs a patch's deltas invalidate. A failed cable hits
-   exactly the pairs whose generated subgraph contained it; a removed
-   switch hits every pair subscribed to one of its cables. Restores and
-   discoveries hit no one — cached graphs stay valid and hosts only
-   gain better options by re-querying — so those patches carry no
-   re-push at all. Sorted for a deterministic batch order. *)
-let affected_pairs t changes =
-  let hit = Hashtbl.create 32 in
-  let add_link key =
-    match Hashtbl.find_opt t.subs key with
-    | None -> ()
-    | Some pairs -> Hashtbl.iter (fun pair () -> Hashtbl.replace hit pair ()) pairs
-  in
-  List.iter
-    (fun change ->
-      match change with
-      | Payload.Link_failed (a, b) -> add_link (Link_key.make a b)
-      | Payload.Switch_removed sw ->
-        let doomed =
-          Hashtbl.fold
-            (fun key _ acc ->
-              let a, b = Link_key.ends key in
-              if a.sw = sw || b.sw = sw then key :: acc else acc)
-            t.subs []
-        in
-        List.iter add_link doomed
-      | Payload.Link_restored _ | Payload.Link_discovered _ -> ())
-    changes;
-  List.sort compare (Hashtbl.fold (fun pair () acc -> pair :: acc) hit [])
 
 let max_peers = 10
 
@@ -200,10 +136,10 @@ let flood_peers_of t h =
 let broadcast_patch t payload changes =
   t.patches <- t.patches + 1;
   let self = Agent.self t.agent in
-  let affected = affected_pairs t changes in
+  let affected = Ledger.affected_pairs t.ledger changes in
   Log.info (fun m ->
       m "controller H%d: broadcasting topology patch #%d (%d/%d pairs re-pushed)"
-        (Agent.self t.agent) t.patches (List.length affected) (Hashtbl.length t.pushed));
+        (Agent.self t.agent) t.patches (List.length affected) (Ledger.pairs t.ledger));
   List.iter (fun h -> ignore (Agent.send_payload t.agent ~dst:h payload)) t.others;
   match affected with
   | [] -> ()
@@ -219,15 +155,14 @@ let broadcast_patch t payload changes =
         match graphs.(i) with
         | Some pg ->
           t.repushed_pairs <- t.repushed_pairs + 1;
-          record_push t ~src ~dst pg;
+          let wire = Pathgraph.to_wire pg in
+          Ledger.record_push t.ledger wire;
           if src <> self then
-            ignore
-              (Agent.send_payload t.agent ~dst:src
-                 (Payload.Path_response (Pathgraph.to_wire pg)))
+            ignore (Agent.send_payload t.agent ~dst:src (Payload.Path_response wire))
         | None ->
           (* Currently unroutable (partition): retire the subscription;
              the host re-queries once a restore patch arrives. *)
-          unsubscribe t (src, dst))
+          Ledger.unsubscribe t.ledger (src, dst))
       queries;
     t.push_s <- t.push_s +. (Unix.gettimeofday () -. t1)
 
@@ -336,7 +271,7 @@ let on_event t event =
 let default_query_service_ns = 40_000
 
 let create ?(replicas = 3) ?(s = 2) ?(eps = 1) ?(jobs = 1)
-    ?(query_service_ns = default_query_service_ns) ?coalesce_ns ?eager_repair ~agent
+    ?(query_service_ns = default_query_service_ns) ?coalesce_ns ~agent
     ~topology ~hosts () =
   if jobs < 1 then invalid_arg "Controller.create: jobs must be >= 1";
   (match coalesce_ns with
@@ -346,7 +281,7 @@ let create ?(replicas = 3) ?(s = 2) ?(eps = 1) ?(jobs = 1)
   let t =
     {
       agent;
-      store = Topo_store.create ?eager_repair topology;
+      store = Topo_store.create topology;
       replicas = Replica.create ~replicas;
       s;
       eps;
@@ -354,8 +289,7 @@ let create ?(replicas = 3) ?(s = 2) ?(eps = 1) ?(jobs = 1)
       query_service_ns;
       coalesce_ns;
       others = List.filter (fun h -> h <> self) hosts;
-      pushed = Hashtbl.create 256;
-      subs = Hashtbl.create 256;
+      ledger = Ledger.create ();
       patches = 0;
       repair_rounds = 0;
       repushed_pairs = 0;
@@ -381,12 +315,11 @@ let create ?(replicas = 3) ?(s = 2) ?(eps = 1) ?(jobs = 1)
       (Engine.schedule_at engine ~at_ns:finish (fun () ->
            match serve t ~src:requester ~dst:target with
            | Some pg ->
+             let wire = Pathgraph.to_wire pg in
              (* The requester will cache this graph, so it joins the
                 repair ledger: a failure crossing it re-pushes it. *)
-             if requester <> self then record_push t ~src:requester ~dst:target pg;
-             ignore
-               (Agent.send_payload agent ~dst:requester
-                  (Payload.Path_response (Pathgraph.to_wire pg)))
+             if requester <> self then Ledger.record_push t.ledger wire;
+             ignore (Agent.send_payload agent ~dst:requester (Payload.Path_response wire))
            | None -> ())
       [@dumbnet.partial
         "serve reaches Pool.run_chunks, whose only raise rethrows an exception \
@@ -410,12 +343,12 @@ let bootstrap_push t =
   in
   let graphs = serve_batch t queries in
   let cursor = ref 0 in
-  let send_next ~src ~dst =
+  let send_next h =
     (match graphs.(!cursor) with
     | Some pg ->
-      record_push t ~src ~dst pg;
-      ignore
-        (Agent.send_payload t.agent ~dst:src (Payload.Path_response (Pathgraph.to_wire pg)))
+      let wire = Pathgraph.to_wire pg in
+      Ledger.record_push t.ledger wire;
+      ignore (Agent.send_payload t.agent ~dst:h (Payload.Path_response wire))
     | None -> ());
     incr cursor
   in
@@ -423,8 +356,8 @@ let bootstrap_push t =
     (fun (h, peers) ->
       ignore (Agent.send_payload t.agent ~dst:h (Payload.Controller_hello { controller = self }));
       ignore (Agent.send_payload t.agent ~dst:h (Payload.Peer_list { peers }));
-      send_next ~src:h ~dst:self;
-      List.iter (fun peer -> send_next ~src:h ~dst:peer) peers)
+      send_next h;
+      List.iter (fun _peer -> send_next h) peers)
     plans
 
 let set_prober t prober = t.prober <- Some prober

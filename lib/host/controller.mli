@@ -21,7 +21,6 @@ val create :
   ?jobs:int ->
   ?query_service_ns:int ->
   ?coalesce_ns:int ->
-  ?eager_repair:bool ->
   agent:Agent.t ->
   topology:Graph.t ->
   hosts:host_id list ->
@@ -47,9 +46,7 @@ val create :
     out instead of flushing inline, so every event landing inside the
     window leaves as one combined patch and one delta re-push. With it
     unset, each applied event patches immediately (the historical
-    behavior). [eager_repair] is forwarded to
-    {!Dumbnet_control.Topo_store.create}: evicted distance tables are
-    recomputed on the spot instead of on first use. *)
+    behavior). *)
 
 val jobs : t -> int
 (** The controller's batch parallelism (1 = sequential). *)
@@ -75,10 +72,10 @@ val patches_sent : t -> int
 
 (** {1 Incremental failure repair}
 
-    The controller keeps a ledger of every path graph it has pushed
-    (bootstrap, interactive query responses, repairs) and an inverted
-    index from each cable to the pairs whose generated subgraph
-    contains it. A failure patch regenerates and re-sends {e only} the
+    The controller keeps a {!Dumbnet_control.Ledger} of every path
+    graph it has pushed (bootstrap, interactive query responses,
+    repairs) and an inverted index from each cable to the pairs whose
+    generated subgraph contains it. A failure patch regenerates and re-sends {e only} the
     subscribed pairs — one batch, pooled when worthwhile — leaving
     every untouched pair's cache live; restore/discovery patches
     re-push nothing. *)
@@ -99,7 +96,8 @@ val cached_pairs : t -> (host_id * host_id) list
 (** The ledger's pairs, sorted — the delta re-push's universe. *)
 
 val cached_graph : t -> src:host_id -> dst:host_id -> Pathgraph.t option
-(** The exact graph the controller last pushed for a pair. *)
+(** The graph the controller last pushed for a pair, rebuilt from the
+    ledger's interned form: same wire form as what was sent. *)
 
 val set_prober : t -> Dumbnet_control.Discovery.prober -> unit
 (** Arm the probing subsystem used to rediscover newly-added cables

@@ -209,11 +209,6 @@ let compute g ~shards =
     { shards; of_switch = assign; sizes; cut = cut_of g assign }
   end
 
-let shard_of_host t g h =
-  match Graph.host_location g h with
-  | None -> None
-  | Some le -> Some t.of_switch.(le.sw)
-
 let cut_fraction t g =
   let total = List.length (Graph.switch_links g) in
   if total = 0 then 0.0

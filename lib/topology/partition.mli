@@ -6,8 +6,7 @@
     around its seed in round-robin turns (bubble growth), and a greedy
     refinement pass then approximates a METIS-style min-cut. On fat
     trees pods are recovered whole — each seed lands in a distinct pod
-    and consumes it before any other region's frontier arrives — which
-    is what lets the sharded controller own pods outright; on
+    and consumes it before any other region's frontier arrives; on
     jellyfish-style random graphs the same growth is a plain min-cut
     heuristic. The partition is a pure function of the wiring (link
     up/down state is ignored), so failure churn never re-partitions a
@@ -31,9 +30,6 @@ val compute : Graph.t -> shards:int -> t
     clamped to [1..num_switches]; [shards = 1] assigns everything to
     region 0 with an empty cut. Hosts are not partitioned — a host
     belongs wherever its access switch lands. *)
-
-val shard_of_host : t -> Graph.t -> host_id -> int option
-(** The shard owning the host's access switch, [None] if detached. *)
 
 val cut_fraction : t -> Graph.t -> float
 (** |cut| / |cables| — the quality figure the bench reports. 0 when the

@@ -341,8 +341,7 @@ let compact_links c =
         { sw = c.c_edges.((i * 4) + 0); port = c.c_edges.((i * 4) + 1) }
         { sw = c.c_edges.((i * 4) + 2); port = c.c_edges.((i * 4) + 3) })
 
-let to_compact arena t =
-  let w = to_wire t in
+let to_compact arena w =
   let path_arrays (p : Path.t) =
     (Array.of_list (List.map fst p.Path.hops), Tag_arena.intern arena (Path.tags p))
   in

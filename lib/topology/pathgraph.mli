@@ -107,18 +107,19 @@ val of_wire : wire -> t
 
 (** {1 Interned storage form}
 
-    What a controller shard's push ledger holds at mega-fabric scale:
+    What the controller's push ledger holds at mega-fabric scale:
     endpoints and edges as flat int arrays, and the primary/backup tag
     stacks replaced by {!Tag_arena} handles, so the dominant repeated
     payload — the source-route stacks — is stored once per {e distinct}
     stack fabric-wide instead of once per pair. Converting back through
-    the issuing arena is exact: [of_compact a (to_compact a t)] has the
-    same wire form as [t]. *)
+    the issuing arena is exact: [of_compact a (to_compact a (to_wire t))]
+    has the same wire form as [t]. *)
 
 type compact
 
-val to_compact : Tag_arena.t -> t -> compact
-(** Interns the primary and backup tag stacks into the arena. *)
+val to_compact : Tag_arena.t -> wire -> compact
+(** Interns the primary and backup tag stacks into the arena. Takes the
+    wire form, which a controller has already built to send the graph. *)
 
 val of_compact : Tag_arena.t -> compact -> t
 (** Rebuilds the full path graph. The arena must be the one that built

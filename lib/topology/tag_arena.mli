@@ -15,7 +15,7 @@
     Handles are only meaningful against the arena that issued them.
     The arena never forgets a stack, so a handle stays valid for the
     arena's lifetime. Not domain-safe: confine an arena to one domain
-    (the controller shard that owns the ledger). *)
+    (the controller that owns the ledger). *)
 
 open Types
 

@@ -160,32 +160,24 @@ let test_out_of_band_mutation_resets () =
 let switch_link_array g = Array.of_list (List.map fst (Graph.switch_links g))
 
 (* Apply a randomized event sequence through [apply_event] (the
-   controller's failure-notice path) on both an evict-only and an
-   eager-repair store, checking every cached table against a cold BFS
-   after every single event. *)
+   controller's failure-notice path), checking every cached table
+   against a cold BFS after every single event. *)
 let run_event_sequence ~name built ops =
-  let stores =
-    [ Topo_store.create built.Builder.graph;
-      Topo_store.create ~eager_repair:true built.Builder.graph ]
-  in
-  List.iter warm_all_roots stores;
-  let links = switch_link_array (Topo_store.graph (List.hd stores)) in
+  let store = Topo_store.create built.Builder.graph in
+  warm_all_roots store;
+  let links = switch_link_array (Topo_store.graph store) in
   let seq = ref 0 in
   List.for_all
     (fun (pick, up) ->
       incr seq;
       let key = links.(pick mod Array.length links) in
       let le, _ = Link_key.ends key in
-      List.for_all
-        (fun store ->
-          ignore
-            (Topo_store.apply_event store { Payload.position = le; up; event_seq = !seq });
-          store_matches_cold store
-          ||
-          (QCheck.Test.fail_reportf "%s: stale table after %s of %s" name
-             (if up then "restore" else "failure")
-             (Format.asprintf "%a" Link_key.pp key)))
-        stores)
+      ignore (Topo_store.apply_event store { Payload.position = le; up; event_seq = !seq });
+      store_matches_cold store
+      ||
+      (QCheck.Test.fail_reportf "%s: stale table after %s of %s" name
+         (if up then "restore" else "failure")
+         (Format.asprintf "%a" Link_key.pp key)))
     ops
 
 let fat_tree_event_prop =

@@ -341,12 +341,11 @@ let test_backup_fallback_unreachable () =
 (* The bytes hosts receive for 256 seeded queries, pinned across
    changes to how the controller computes them: any edit to Algorithm 1,
    the distance tables or the backup search must leave these digests
-   alone. Every pool width and every shard count serves the same
-   bytes. *)
+   alone. Every pool width serves the same bytes, with and without
+   randomized tie-breaks. *)
 
 module Payload = Dumbnet.Packet.Payload
 module Topo_store = Dumbnet.Control.Topo_store
-module Shard = Dumbnet.Control.Shard
 module Pool = Dumbnet.Util.Pool
 
 let seeded_pairs g ~seed ~n =
@@ -380,35 +379,33 @@ let golden_jellyfish () =
   | [] -> Alcotest.fail "jellyfish without cables");
   g
 
-let check_golden ~name ~randomized ~stitched g =
+let check_golden ~name ~randomized ~unrandomized g =
   let pairs = seeded_pairs g ~seed:2024 ~n:256 in
   List.iter
-    (fun jobs ->
-      let store = Topo_store.create g in
-      let results =
-        if jobs = 1 then Topo_store.serve_path_graphs ~randomize:true store pairs
-        else
-          Pool.with_pool ~jobs (fun pool ->
-              Topo_store.serve_path_graphs ~randomize:true ~pool store pairs)
-      in
-      check Alcotest.string (Printf.sprintf "%s randomized, jobs=%d" name jobs) randomized
-        (served_digest results))
-    [ 1; 2; 4 ];
-  List.iter
-    (fun shards ->
-      let shard = Shard.create ~shards g in
-      check Alcotest.string (Printf.sprintf "%s stitched, shards=%d" name shards) stitched
-        (served_digest (Shard.serve_path_graphs shard pairs)))
-    [ 1; 2; 4 ]
+    (fun (randomize, expected) ->
+      List.iter
+        (fun jobs ->
+          let store = Topo_store.create g in
+          let results =
+            if jobs = 1 then Topo_store.serve_path_graphs ~randomize store pairs
+            else
+              Pool.with_pool ~jobs (fun pool ->
+                  Topo_store.serve_path_graphs ~randomize ~pool store pairs)
+          in
+          check Alcotest.string
+            (Printf.sprintf "%s randomize=%b, jobs=%d" name randomize jobs)
+            expected (served_digest results))
+        [ 1; 2; 4 ])
+    [ (true, randomized); (false, unrandomized) ]
 
 let test_golden_fat_tree () =
   check_golden ~name:"fat-tree k=8" ~randomized:"85d24b1d090193325df829075e186c4c"
-    ~stitched:"08697856610b225948009af4933d1f83" (golden_fat_tree ())
+    ~unrandomized:"08697856610b225948009af4933d1f83" (golden_fat_tree ())
 
 let test_golden_jellyfish () =
   check_golden ~name:"jellyfish-64, one cable down"
     ~randomized:"de628096205d63e95db64d0b15dc4956"
-    ~stitched:"b98ac8af26ae96dd435549e17fd7ecac" (golden_jellyfish ())
+    ~unrandomized:"b98ac8af26ae96dd435549e17fd7ecac" (golden_jellyfish ())
 
 let () =
   Alcotest.run "pathgraph"
