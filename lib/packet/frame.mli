@@ -108,7 +108,9 @@ val header_bytes : t -> int
     INT-enabled frames. *)
 
 val byte_size : t -> int
-(** Total wire size charged to links by the simulator. *)
+(** Total wire size charged to links by the simulator:
+    {!header_bytes} plus {!Payload.byte_size}. Pure arithmetic over
+    the frame's fields — no region or payload is serialized. *)
 
 val write : Wire.Writer.t -> t -> unit
 (** Append the full on-wire form (header, regions, payload, CRC) to a

@@ -267,9 +267,45 @@ let decode buf = read (R.of_bytes buf)
 
 let[@dumbnet.hot] decode_from buf ~pos ~len = read (R.of_sub buf ~pos ~len)
 
-let byte_size = function
+(* Wire widths of the codec above: [W.int] writes 8 bytes, [W.u8] and
+   [W.bool] (ports, tags, hop budgets, flags, variant tags) 1, a list
+   length 2 and an option tag 1. Sizing a payload is then a sum over its
+   list lengths, so the per-hop charge serializes nothing. *)
+let int_bytes = 8
+
+let link_end_bytes = int_bytes + 1
+
+let event_bytes = link_end_bytes + 1 + int_bytes
+
+let[@dumbnet.hot] change_bytes = function
+  | Link_failed _ | Link_restored _ | Link_discovered _ -> 1 + (2 * link_end_bytes)
+  | Switch_removed _ -> 1 + int_bytes
+
+let[@dumbnet.hot] path_bytes (p : Path.t) =
+  (2 * int_bytes) + 2 + ((int_bytes + 1) * List.length p.Path.hops)
+
+let[@dumbnet.hot] pathgraph_bytes (pg : Pathgraph.wire) =
+  (2 * int_bytes) + (2 * link_end_bytes) + path_bytes pg.Pathgraph.w_primary
+  + (match pg.w_backup with
+    | None -> 1
+    | Some b -> 1 + path_bytes b)
+  + 2
+  + (2 * link_end_bytes * List.length pg.w_edges)
+
+let[@dumbnet.hot] byte_size = function
   | Data { size; _ } -> size
-  | other -> Bytes.length (encode other)
+  | Probe { forward_tags; _ } -> 1 + int_bytes + 2 + List.length forward_tags
+  | Probe_reply { knows_controller = None; _ } -> 1 + int_bytes + 1
+  | Probe_reply { knows_controller = Some _; _ } -> 1 + int_bytes + 1 + int_bytes
+  | Id_reply _ | Controller_hello _ -> 1 + int_bytes
+  | Port_notice _ -> 1 + event_bytes + 1
+  | Host_flood _ -> 1 + event_bytes + int_bytes
+  | Topo_patch { changes; _ } ->
+    List.fold_left (fun acc c -> acc + change_bytes c) (1 + int_bytes + 2) changes
+  | Path_query _ | Rts _ | Token _ -> 1 + (2 * int_bytes)
+  | Path_response pg -> 1 + pathgraph_bytes pg
+  | Peer_list { peers } -> 1 + 2 + (int_bytes * List.length peers)
+  | Ecn_echo _ | Int_probe _ -> 1 + (3 * int_bytes)
 
 let equal_wire (a : Pathgraph.wire) (b : Pathgraph.wire) = a = b
 

@@ -69,7 +69,10 @@ type t =
 
 val byte_size : t -> int
 (** Bytes this payload occupies on the wire: the declared [size] for
-    [Data], the encoded length otherwise. *)
+    [Data], otherwise exactly [Bytes.length (encode p)], computed by
+    arithmetic from the codec's fixed field widths (ints 8 bytes;
+    ports, tags, flags and hop budgets 1; list lengths 2; option tags
+    1) without encoding anything. Total: it never raises. *)
 
 val encode : t -> Bytes.t
 

@@ -1,4 +1,5 @@
 open Types
+module Rng = Dumbnet_util.Rng
 
 type t = {
   generation : int;
@@ -15,7 +16,7 @@ let[@dumbnet.hot] generation t = t.generation
 
 let[@dumbnet.hot] num_switches t = Array.length t.ids
 
-let num_edges t = t.row.(Array.length t.ids)
+let[@dumbnet.hot] num_edges t = t.row.(Array.length t.ids)
 
 let index_of t sw = Hashtbl.find_opt t.index sw
 
@@ -165,3 +166,184 @@ let[@dumbnet.hot] route_avoiding t ~avoid ~max_hops ~src ~dst =
       let hops, route = back goal 0 [] in
       if hops < max_hops then Route route else Too_long
     end
+
+(* Yen's k shortest loop-free routes, on the CSR rows by compact index.
+   One [yen] scratch serves every spur search of a call. A ban is the
+   stamp of the spur search that set it, so a new spur clears nothing:
+   [ban_node] marks the root prefix, [ban_edge] the directed edge slots
+   of every cable between a banned switch pair. *)
+type yen = {
+  snap : t;
+  dist : int array; (* hops to the goal, -1 if not discovered *)
+  queue : int array;
+  ban_node : int array;
+  ban_edge : int array;
+  cand : int array; (* next-step candidates, distinct and ascending *)
+  walk : int array; (* the switches a walk visits after its start *)
+  mutable stamp : int;
+}
+
+let[@dumbnet.hot] ban_cables y a b =
+  let t = y.snap in
+  for e = t.row.(a) to t.row.(a + 1) - 1 do
+    if t.peer_idx.(e) = b then y.ban_edge.(e) <- y.stamp
+  done;
+  for e = t.row.(b) to t.row.(b + 1) - 1 do
+    if t.peer_idx.(e) = a then y.ban_edge.(e) <- y.stamp
+  done
+
+(* Yen's deviation rule at spur position [i] of [last]: ban the root
+   prefix before the spur, and the next cable of every chosen route
+   that shares the root [last.(0..i)]. *)
+let[@dumbnet.hot] ban_root y last i chosen =
+  for j = 0 to i - 1 do
+    y.ban_node.(last.(j)) <- y.stamp
+  done;
+  let rec shares r j = j > i || (r.(j) = last.(j) && shares r (j + 1)) in
+  let rec deviations = function
+    | [] -> ()
+    | r :: rest ->
+      if Array.length r > i + 1 && shares r 0 then ban_cables y r.(i) r.(i + 1);
+      deviations rest
+  in
+  deviations chosen
+
+(* BFS from [goal] over the unbanned switches and cables, stopped once
+   [from] is discovered: every switch nearer the goal than [from] then
+   holds its exact distance, and those are the only ones a walk from
+   [from] reads. *)
+let[@dumbnet.hot] spur_distances y ~goal ~from =
+  let t = y.snap in
+  Array.fill y.dist 0 (Array.length y.dist) (-1);
+  y.dist.(goal) <- 0;
+  y.queue.(0) <- goal;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail && y.dist.(from) < 0 do
+    let i = y.queue.(!head) in
+    incr head;
+    let d = y.dist.(i) + 1 in
+    for e = t.row.(i) to t.row.(i + 1) - 1 do
+      let k = t.peer_idx.(e) in
+      if k >= 0 && y.dist.(k) < 0 && y.ban_edge.(e) <> y.stamp && y.ban_node.(k) <> y.stamp
+      then begin
+        y.dist.(k) <- d;
+        y.queue.(!tail) <- k;
+        incr tail
+      end
+    done
+  done
+
+(* Insert compact index [k] into the [c] sorted candidates unless it is
+   already there; returns the new count. Compact indices ascend with
+   switch id. *)
+let[@dumbnet.hot] add_candidate y c k =
+  let j = ref c in
+  while !j > 0 && y.cand.(!j - 1) > k do
+    decr j
+  done;
+  if !j > 0 && y.cand.(!j - 1) = k then c
+  else begin
+    Array.blit y.cand !j y.cand (!j + 1) (c - !j);
+    y.cand.(!j) <- k;
+    c + 1
+  end
+
+(* Walk from [from] down the distance table, one hop closer per step,
+   over unbanned cables; with [rng], one uniform draw among the distinct
+   candidate peers at every step (even a lone one), else the lowest
+   switch id. Fills [walk] and returns its length, or -1 if [from] is
+   cut off from the goal. *)
+let[@dumbnet.hot] walk_down y rng ~from =
+  let t = y.snap in
+  let d0 = y.dist.(from) in
+  let rec step i left n =
+    if left = 0 then n
+    else begin
+      let c = ref 0 in
+      for e = t.row.(i) to t.row.(i + 1) - 1 do
+        let k = t.peer_idx.(e) in
+        if k >= 0 && y.ban_edge.(e) <> y.stamp && y.dist.(k) = left - 1 then
+          c := add_candidate y !c k
+      done;
+      if !c = 0 then -1
+      else begin
+        let next =
+          match rng with
+          | Some rng -> y.cand.(Rng.int rng !c)
+          | None -> y.cand.(0)
+        in
+        y.walk.(n) <- next;
+        step next (left - 1) (n + 1)
+      end
+    end
+  in
+  if d0 < 0 then -1 else step from d0 0
+
+(* Candidates stay sorted by length, ties in insertion order. *)
+let[@dumbnet.hot] rec insert_candidate route = function
+  | r :: rest when Array.length r <= Array.length route -> r :: insert_candidate route rest
+  | later -> route :: later
+
+let[@dumbnet.hot] route_ids t r =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (t.ids.(r.(i)) :: acc) in
+  go (Array.length r - 1) []
+
+let[@dumbnet.hot] k_shortest_routes ?rng t ~src ~dst ~k =
+  if k <= 0 then []
+  else if src = dst then [ [ src ] ]
+  else
+    match (Hashtbl.find_opt t.index src, Hashtbl.find_opt t.index dst) with
+    | None, _ | _, None -> []
+    | Some s, Some goal ->
+      let n = Array.length t.ids in
+      let y =
+        {
+          snap = t;
+          dist = Array.make n (-1);
+          queue = Array.make n 0;
+          ban_node = Array.make n (-1);
+          ban_edge = Array.make (num_edges t) (-1);
+          cand = Array.make n 0;
+          walk = Array.make n 0;
+          stamp = 0;
+        }
+      in
+      spur_distances y ~goal ~from:s;
+      (* [root.(0..i)] followed by the [len] switches of the last walk. *)
+      let splice root i len =
+        let route = Array.make (i + 1 + len) 0 in
+        Array.blit root 0 route 0 (i + 1);
+        Array.blit y.walk 0 route (i + 1) len;
+        route
+      in
+      let len = walk_down y rng ~from:s in
+      if len < 0 then []
+      else begin
+        let first = splice [| s |] 0 len in
+        (* [seen]: every route ever found, chosen or still a candidate. *)
+        let seen = ref [ first ] and candidates = ref [] in
+        let rec fill chosen count last =
+          if count >= k then chosen
+          else begin
+            for i = 0 to Array.length last - 2 do
+              y.stamp <- y.stamp + 1;
+              ban_root y last i chosen;
+              spur_distances y ~goal ~from:last.(i);
+              let len = walk_down y rng ~from:last.(i) in
+              if len >= 0 then begin
+                let route = splice last i len in
+                if not (List.mem route !seen) then begin
+                  seen := route :: !seen;
+                  candidates := insert_candidate route !candidates
+                end
+              end
+            done;
+            match !candidates with
+            | [] -> chosen
+            | next :: rest ->
+              candidates := rest;
+              fill (next :: chosen) (count + 1) next
+          end
+        in
+        List.rev_map (route_ids t) (fill [ first ] 1 first)
+      end

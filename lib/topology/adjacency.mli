@@ -23,7 +23,8 @@ type t
 val build : generation:int -> (switch_id * (port * switch_id * port) list) list -> t
 (** [build ~generation per_switch] packs the per-switch up-neighbor
     lists (ascending switch id, port order within each list) into a
-    snapshot. Normally called by {!Graph.adjacency}, not directly. *)
+    snapshot. Called by {!Graph.adjacency}, and by {!Pathgraph.k_routes}
+    on a cached subgraph (where [generation] is unused). *)
 
 val generation : t -> int
 (** The graph generation this snapshot was built from. *)
@@ -83,3 +84,18 @@ val route_avoiding :
     The search stops once [dst] is discovered; it costs the
     neighbourhood explored plus three [num_switches]-long scratch
     arrays allocated per call. *)
+
+(** {1 Yen's k shortest routes} *)
+
+val k_shortest_routes :
+  ?rng:Dumbnet_util.Rng.t -> t -> src:switch_id -> dst:switch_id -> k:int -> switch_id list list
+(** Yen's algorithm: up to [k] distinct loop-free routes [src..dst] in
+    nondecreasing length order, ties in the order they were found. Each
+    route walks a BFS distance table down from its start, choosing
+    among the distinct peers one hop closer (ascending switch id) with
+    one [rng] draw per hop — or the lowest id without [rng]. A spur
+    search bans the root prefix before the spur and every cable, in
+    both directions, between the spur and the next switch of each
+    chosen route sharing that root. [src = dst] yields [[[src]]]; an
+    unknown endpoint yields [[]]. Scratch arrays are allocated once
+    per call, not per spur. *)

@@ -204,9 +204,20 @@ let find_route ?rng ?avoid t =
   | Some route ->
     Path.of_route ~adj ~src:t.src ~src_loc:t.src_loc ~dst:t.dst ~dst_loc:t.dst_loc route
 
-let k_routes ?rng ?avoid t ~k =
+(* The subgraph minus [avoid], packed as a CSR snapshot: ascending
+   switch id, each list in port order. *)
+let snapshot t avoid =
   let adj = effective_adjacency t avoid in
-  Routing.k_shortest_routes ?rng adj ~src:t.src_loc.sw ~dst:t.dst_loc.sw ~k
+  let by_port (a, _, _) (b, _, _) = Int.compare a b in
+  Hashtbl.fold (fun sw _ acc -> sw :: acc) t.adj []
+  |> List.sort Int.compare
+  |> List.map (fun sw -> (sw, List.sort by_port (adj sw)))
+  |> Adjacency.build ~generation:0
+
+let k_routes ?rng ?avoid t ~k =
+  let snap = snapshot t avoid in
+  let adj = Adjacency.fn snap in
+  Adjacency.k_shortest_routes ?rng snap ~src:t.src_loc.sw ~dst:t.dst_loc.sw ~k
   |> List.filter_map (fun route ->
          Path.of_route ~adj ~src:t.src ~src_loc:t.src_loc ~dst:t.dst ~dst_loc:t.dst_loc route)
 

@@ -77,8 +77,10 @@ val find_route : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> Path.t opt
     skipping links in [avoid] — the host's failed-link overlay. *)
 
 val k_routes : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> k:int -> Path.t list
-(** Up to [k] distinct loop-free routes within the subgraph, shortest
-    first; used to fill the host PathTable. *)
+(** Up to [k] distinct loop-free routes within the subgraph minus
+    [avoid], shortest first; used to fill the host PathTable. Packs
+    that subgraph into an {!Adjacency.t} once per call and runs
+    {!Adjacency.k_shortest_routes} on it. *)
 
 val reversed : t -> t option
 (** The same subgraph serving the opposite direction: endpoints swapped

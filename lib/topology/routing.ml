@@ -164,67 +164,6 @@ let backup_route snap ~primary ~src ~dst =
   | Adjacency.Too_long | Adjacency.Unreachable ->
     weighted_route ~weight:(penalize primary) (Adjacency.fn snap) ~src ~dst
 
-(* Yen's k-shortest loop-free routes. Candidate spur routes are kept in
-   a heap ordered by length; deviations ban the edges of already-chosen
-   routes sharing the same root prefix and the nodes of the prefix. *)
-let k_shortest_routes ?rng adj ~src ~dst ~k =
-  if k <= 0 then []
-  else begin
-    match shortest_route ?rng adj ~src ~dst with
-    | None -> []
-    | Some first ->
-      let chosen = ref [ first ] in
-      let module H = Dumbnet_util.Heap in
-      let candidates = H.create ~compare:compare in
-      let seen = Hashtbl.create 16 in
-      Hashtbl.replace seen first ();
-      let add_candidates last_route =
-        let arr = Array.of_list last_route in
-        for i = 0 to Array.length arr - 2 do
-          let spur = arr.(i) in
-          let root = Array.to_list (Array.sub arr 0 (i + 1)) in
-          let banned_edges =
-            List.filter_map
-              (fun r ->
-                let ra = Array.of_list r in
-                if Array.length ra > i + 1 && Array.to_list (Array.sub ra 0 (i + 1)) = root then
-                  Some (ra.(i), ra.(i + 1))
-                else None)
-              !chosen
-          in
-          let banned_nodes =
-            List.fold_left
-              (fun s n -> Switch_set.add n s)
-              Switch_set.empty
-              (List.filteri (fun j _ -> j < i) root)
-          in
-          match
-            shortest_route_avoiding ?rng ~banned_nodes ~banned_edges adj ~src:spur ~dst
-          with
-          | None | Some [] -> ()
-          | Some (_spur_head :: spur_tail) ->
-            let total = root @ spur_tail in
-            if not (Hashtbl.mem seen total) then begin
-              Hashtbl.replace seen total ();
-              H.push candidates (List.length total) total
-            end
-        done
-      in
-      let rec fill () =
-        match !chosen with
-        | last :: _ when List.length !chosen < k -> (
-          add_candidates last;
-          match H.pop candidates with
-          | None -> ()
-          | Some (_, route) ->
-            chosen := route :: !chosen;
-            fill ())
-        | _ -> ()
-      in
-      fill ();
-      List.rev !chosen
-  end
-
 let host_endpoints g ~src ~dst =
   if src = dst then None
   else
@@ -246,6 +185,7 @@ let k_host_paths ?rng g ~src ~dst ~k =
   match host_endpoints g ~src ~dst with
   | None -> []
   | Some (src_loc, dst_loc) ->
-    let adj = graph_adjacency g in
-    k_shortest_routes ?rng adj ~src:src_loc.sw ~dst:dst_loc.sw ~k
+    let snap = Graph.adjacency g in
+    let adj = Adjacency.fn snap in
+    Adjacency.k_shortest_routes ?rng snap ~src:src_loc.sw ~dst:dst_loc.sw ~k
     |> List.filter_map (fun route -> Path.of_route ~adj ~src ~src_loc ~dst ~dst_loc route)

@@ -1,8 +1,10 @@
 (** Routing algorithms over switch-level adjacency.
 
-    All functions operate on an abstract {!Path.adjacency} so they run
+    Most functions operate on an abstract {!Path.adjacency} so they run
     both on the ground-truth {!Graph} (controller side) and on a host's
-    cached path graph. All routes are loop-free switch sequences. *)
+    cached path graph; the array searches (backup routes, Yen's
+    k shortest routes) run on an {!Adjacency.t} snapshot. All routes are
+    loop-free switch sequences. *)
 
 open Types
 
@@ -72,16 +74,6 @@ val backup_route :
     {!primary_penalty} hops, else by that Dijkstra itself. [primary]
     must be loop-free. *)
 
-val k_shortest_routes :
-  ?rng:Dumbnet_util.Rng.t ->
-  Path.adjacency ->
-  src:switch_id ->
-  dst:switch_id ->
-  k:int ->
-  switch_id list list
-(** Yen's algorithm: up to [k] distinct loop-free routes in nondecreasing
-    length order. *)
-
 val host_route :
   ?rng:Dumbnet_util.Rng.t -> Graph.t -> src:host_id -> dst:host_id -> Path.t option
 (** Shortest concrete path between two attached hosts, [None] if either
@@ -89,3 +81,6 @@ val host_route :
 
 val k_host_paths :
   ?rng:Dumbnet_util.Rng.t -> Graph.t -> src:host_id -> dst:host_id -> k:int -> Path.t list
+(** Up to [k] concrete paths between two attached hosts:
+    {!Adjacency.k_shortest_routes} on [Graph.adjacency g] between their
+    access switches. [[]] if either host is detached or unreachable. *)

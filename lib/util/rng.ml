@@ -18,7 +18,7 @@ let[@dumbnet.hot] int64 t = mix (next_state t)
 
 let split t = { state = int64 t }
 
-let int t bound =
+let[@dumbnet.hot] int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let v = Int64.to_int (int64 t) land max_int in
   v mod bound

@@ -209,8 +209,39 @@ let test_mpls_headroom () =
 
 (* --- properties --- *)
 
+(* Every payload variant, each field drawn across its whole wire width:
+   ints are 8 bytes (any OCaml int), ports, tags and hop budgets 1 byte,
+   list lengths 2 bytes (kept short here). *)
 let gen_payload =
   QCheck.Gen.(
+    let byte = int_bound 255 in
+    let link_end = map2 (fun sw port -> { sw; port }) int byte in
+    let event =
+      map3 (fun position up event_seq -> { Payload.position; up; event_seq }) link_end bool int
+    in
+    let change =
+      oneof
+        [
+          map2 (fun a b -> Payload.Link_failed (a, b)) link_end link_end;
+          map2 (fun a b -> Payload.Link_restored (a, b)) link_end link_end;
+          map2 (fun a b -> Payload.Link_discovered (a, b)) link_end link_end;
+          map (fun sw -> Payload.Switch_removed sw) int;
+        ]
+    in
+    let path =
+      map3
+        (fun src hops dst -> { Path.src; hops; dst })
+        int
+        (list_size (1 -- 12) (pair int byte))
+        int
+    in
+    let wire =
+      map3
+        (fun (w_src, w_dst) (w_src_loc, w_dst_loc) (w_primary, w_backup, w_edges) ->
+          { Pathgraph.w_src; w_dst; w_src_loc; w_dst_loc; w_primary; w_backup; w_edges })
+        (pair int int) (pair link_end link_end)
+        (triple path (opt path) (list_size (0 -- 30) (pair link_end link_end)))
+    in
     oneof
       [
         map4
@@ -218,20 +249,46 @@ let gen_payload =
           small_nat small_nat (int_bound 100_000) (int_bound 1_000_000_000);
         map2
           (fun origin tags -> Payload.Probe { origin; forward_tags = tags })
-          small_nat
-          (list_size (1 -- 20) (int_bound 255));
-        map
-          (fun sw -> Payload.Id_reply { switch = sw })
-          small_nat;
+          int
+          (list_size (0 -- 20) byte);
+        map2
+          (fun responder knows_controller -> Payload.Probe_reply { responder; knows_controller })
+          int (opt int);
+        map (fun sw -> Payload.Id_reply { switch = sw }) int;
+        map2 (fun event hops_left -> Payload.Port_notice { event; hops_left }) event byte;
+        map2 (fun event origin -> Payload.Host_flood { event; origin }) event int;
+        map2
+          (fun version changes -> Payload.Topo_patch { version; changes })
+          int
+          (list_size (0 -- 12) change);
         map2
           (fun requester target -> Payload.Path_query { requester; target })
-          small_nat small_nat;
-        map (fun peers -> Payload.Peer_list { peers }) (list_size (0 -- 12) small_nat);
+          int int;
+        map (fun w -> Payload.Path_response w) wire;
+        map (fun controller -> Payload.Controller_hello { controller }) int;
+        map (fun peers -> Payload.Peer_list { peers }) (list_size (0 -- 12) int);
+        map3
+          (fun flow marks latest_sent_ns -> Payload.Ecn_echo { flow; marks; latest_sent_ns })
+          int int int;
+        map2 (fun flow bytes -> Payload.Rts { flow; bytes }) int int;
+        map2 (fun flow packets -> Payload.Token { flow; packets }) int int;
+        map3
+          (fun origin seq sent_ns -> Payload.Int_probe { origin; seq; sent_ns })
+          int int int;
       ])
 
 let payload_roundtrip_prop =
   QCheck.Test.make ~name:"payload codec roundtrips" ~count:300
     (QCheck.make gen_payload) (fun p -> Payload.equal p (Payload.decode (Payload.encode p)))
+
+(* The arithmetic size law: every control payload is charged exactly
+   its encoded length. *)
+let payload_byte_size_prop =
+  QCheck.Test.make ~name:"payload byte size is the encoded length" ~count:500
+    (QCheck.make ~print:(Format.asprintf "%a" Payload.pp) gen_payload) (fun p ->
+      match p with
+      | Payload.Data _ -> true
+      | _ -> Payload.byte_size p = Bytes.length (Payload.encode p))
 
 let frame_roundtrip_prop =
   QCheck.Test.make ~name:"frame codec roundtrips" ~count:300
@@ -247,11 +304,26 @@ let mpls_roundtrip_prop =
       let tags = Tag.of_ports ports in
       Mpls.to_tags (Mpls.of_tags tags) = Some tags)
 
+(* A valid encoding of any payload variant, truncated or with one byte
+   flipped, so the fuzz below reaches deep into every decoder branch. *)
+let gen_damaged_payload =
+  QCheck.Gen.(
+    map3
+      (fun p at flip ->
+        let b = Payload.encode p in
+        let i = at mod Bytes.length b in
+        if flip = 0 then Bytes.sub_string b 0 i
+        else begin
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor flip));
+          Bytes.to_string b
+        end)
+      gen_payload small_nat (int_bound 255))
+
 let decode_total_prop =
-  (* Fuzz: arbitrary bytes either parse or raise Truncated — decoders
-     never escape with any other exception. *)
-  QCheck.Test.make ~name:"decoders are total on garbage" ~count:500
-    QCheck.(string_of_size Gen.(0 -- 200))
+  (* Fuzz: arbitrary or damaged bytes either parse or raise Truncated —
+     decoders never escape with any other exception. *)
+  QCheck.Test.make ~name:"decoders are total on garbage" ~count:1000
+    (QCheck.make QCheck.Gen.(oneof [ string_size (0 -- 200); gen_damaged_payload ]))
     (fun s ->
       let b = Bytes.of_string s in
       let ok f = match f b with _ -> true | exception Wire.Truncated -> true in
@@ -287,6 +359,7 @@ let () =
           Alcotest.test_case "data size" `Quick test_payload_data_size;
           Alcotest.test_case "garbage rejected" `Quick test_payload_rejects_garbage;
           QCheck_alcotest.to_alcotest payload_roundtrip_prop;
+          QCheck_alcotest.to_alcotest payload_byte_size_prop;
         ] );
       ( "frame",
         [

@@ -407,6 +407,60 @@ let test_golden_jellyfish () =
     ~randomized:"de628096205d63e95db64d0b15dc4956"
     ~unrandomized:"b98ac8af26ae96dd435549e17fd7ecac" (golden_jellyfish ())
 
+(* --- golden digest of host-side k-routes --- *)
+
+(* The routes a host installs from a cached graph (Yen's algorithm,
+   k = 4) for 128 seeded path graphs on each golden fabric, pinned
+   across changes to how Yen's algorithm runs: every route's switches
+   and tags, without and with a failed-cable overlay on the primary's
+   first cable, plus the same query answered on the whole graph. One
+   RNG threads every call, so the number of draws is pinned too. *)
+
+let first_primary_cable pg =
+  match (Pathgraph.primary pg).Path.hops with
+  | (sw, out) :: _ :: _ ->
+    List.find_map
+      (fun (port, peer, peer_in) ->
+        if port = out then Some (Link_key.make { sw; port } { sw = peer; port = peer_in })
+        else None)
+      (Pathgraph.adjacency pg sw)
+  | [ _ ] | [] -> None
+
+let k_routes_digest g =
+  let buf = Buffer.create 65536 in
+  let add_paths paths =
+    List.iter
+      (fun p ->
+        List.iter (fun (sw, tag) -> Printf.bprintf buf "%d:%d," sw tag) p.Path.hops;
+        Buffer.add_char buf ';')
+      paths;
+    Buffer.add_char buf '|'
+  in
+  let rng = Rng.create 11 in
+  Array.iter
+    (fun (src, dst) ->
+      match Pathgraph.generate ~rng g ~src ~dst with
+      | None -> Buffer.add_string buf "none|"
+      | Some served ->
+        let pg = Pathgraph.of_wire (Pathgraph.to_wire served) in
+        add_paths (Pathgraph.k_routes ~rng pg ~k:4);
+        add_paths (Pathgraph.k_routes pg ~k:4);
+        (match first_primary_cable pg with
+        | Some key ->
+          let avoid = Link_set.singleton key in
+          add_paths (Pathgraph.k_routes ~rng ~avoid pg ~k:4);
+          add_paths (Pathgraph.k_routes ~avoid pg ~k:4)
+        | None -> Buffer.add_string buf "single|");
+        add_paths (Routing.k_host_paths ~rng g ~src ~dst ~k:4))
+    (seeded_pairs g ~seed:2025 ~n:128);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_k_routes () =
+  check Alcotest.string "fat-tree k=8" "40c6db251664afbbfca5b70595558ef4"
+    (k_routes_digest (golden_fat_tree ()));
+  check Alcotest.string "jellyfish-64, one cable down" "14996ad33f8b95006d1b2fbd19a57c0e"
+    (k_routes_digest (golden_jellyfish ()))
+
 let () =
   Alcotest.run "pathgraph"
     [
@@ -449,5 +503,6 @@ let () =
         [
           Alcotest.test_case "fat-tree k=8 digest" `Quick test_golden_fat_tree;
           Alcotest.test_case "jellyfish-64 digest" `Quick test_golden_jellyfish;
+          Alcotest.test_case "k-routes digest" `Quick test_golden_k_routes;
         ] );
     ]

@@ -211,8 +211,8 @@ let test_weighted_route () =
 
 let test_k_shortest () =
   let b = Builder.figure1 () in
-  let adj = Routing.graph_adjacency b.Builder.graph in
-  let routes = Routing.k_shortest_routes adj ~src:2 ~dst:3 ~k:4 in
+  let snap = Graph.adjacency b.Builder.graph in
+  let routes = Adjacency.k_shortest_routes snap ~src:2 ~dst:3 ~k:4 in
   Alcotest.(check bool) "at least 2" true (List.length routes >= 2);
   let lengths = List.map List.length routes in
   Alcotest.(check bool) "sorted" true (lengths = List.sort compare lengths);
@@ -311,6 +311,59 @@ let k_shortest_valid_prop =
       let src = List.hd hosts and dst = List.nth hosts (List.length hosts - 1) in
       let paths = Routing.k_host_paths g ~src ~dst ~k:4 in
       paths <> [] && List.for_all (Path.validate g) paths)
+
+(* Random multigraphs on 2-8 switches, parallel cables included. *)
+let small_multigraph rng =
+  let g = Graph.create () in
+  let n = 2 + Rng.int rng 7 in
+  let sws = Array.init n (fun _ -> Graph.add_switch g ~ports:16) in
+  let next = Array.make n 1 in
+  for _ = 1 to Rng.int rng 15 do
+    let a = Rng.int rng n and b = Rng.int rng n in
+    if a <> b then begin
+      Graph.connect g { sw = sws.(a); port = next.(a) } { sw = sws.(b); port = next.(b) };
+      next.(a) <- next.(a) + 1;
+      next.(b) <- next.(b) + 1
+    end
+  done;
+  (g, sws)
+
+(* Lengths (in switches) of every simple route, by exhaustive DFS. *)
+let simple_route_lengths snap ~src ~dst =
+  let peers sw =
+    List.sort_uniq compare (List.map (fun (_, p, _) -> p) (Adjacency.neighbors snap sw))
+  in
+  let rec dfs sw visited acc =
+    if sw = dst then List.length visited :: acc
+    else
+      List.fold_left
+        (fun acc p -> if List.mem p visited then acc else dfs p (p :: visited) acc)
+        acc (peers sw)
+  in
+  List.sort compare (dfs src [ src ] [])
+
+let k_shortest_brute_force_prop =
+  QCheck.Test.make ~name:"k-shortest = brute force on small multigraphs" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g, sws = small_multigraph rng in
+      let snap = Graph.adjacency g in
+      let src = Rng.pick_array rng sws and dst = Rng.pick_array rng sws in
+      let k = 1 + Rng.int rng 6 in
+      let walk_rng = if Rng.int rng 2 = 0 then Some rng else None in
+      let routes = Adjacency.k_shortest_routes ?rng:walk_rng snap ~src ~dst ~k in
+      let adjacent a b = List.exists (fun (_, p, _) -> p = b) (Adjacency.neighbors snap a) in
+      let rec valid = function
+        | a :: (b :: _ as rest) -> adjacent a b && valid rest
+        | [ last ] -> last = dst
+        | [] -> false
+      in
+      let loop_free r = List.length (List.sort_uniq compare r) = List.length r in
+      let smallest = List.filteri (fun i _ -> i < k) (simple_route_lengths snap ~src ~dst) in
+      List.length (List.sort_uniq compare routes) = List.length routes
+      && List.for_all (fun r -> List.hd r = src && valid r && loop_free r) routes
+      && List.map List.length routes = smallest)
 
 let reverse_roundtrip_prop =
   QCheck.Test.make ~name:"reverse of reverse is the original path" ~count:50
@@ -468,6 +521,7 @@ let () =
           Alcotest.test_case "host route validates" `Quick test_host_route_and_validate;
           QCheck_alcotest.to_alcotest shortest_matches_bfs_prop;
           QCheck_alcotest.to_alcotest k_shortest_valid_prop;
+          QCheck_alcotest.to_alcotest k_shortest_brute_force_prop;
         ] );
       ( "path",
         [
