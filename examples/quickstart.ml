@@ -38,9 +38,8 @@ let () =
   let st = Host.Agent.stats (Fabric.agent fab h5) in
   Printf.printf "H5 received %d packet(s), %d bytes, latency %.0f µs\n\n"
     st.Host.Agent.data_received st.Host.Agent.bytes_received
-    (match st.Host.Agent.latency_samples_ns with
-    | ns :: _ -> float_of_int ns /. 1e3
-    | [] -> nan);
+    (if st.Host.Agent.latency_count > 0 then float_of_int st.Host.Agent.latency_last_ns /. 1e3
+     else nan);
 
   (* Cut the spine link the packet used; the switch broadcasts a port
      notice, hosts flood it, and H4's next packet takes the other

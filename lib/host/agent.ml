@@ -26,7 +26,10 @@ type stats = {
   mutable data_sent : int;
   mutable data_received : int;
   mutable bytes_received : int;
-  mutable latency_samples_ns : int list;
+  mutable latency_count : int;
+  mutable latency_sum_ns : int;
+  mutable latency_max_ns : int;
+  mutable latency_last_ns : int;
   mutable queries_sent : int;
   mutable responses_received : int;
   mutable floods_sent : int;
@@ -115,9 +118,9 @@ let set_local_path_service t f = t.local_paths <- Some f
 
 let set_stage1_enabled t enabled = t.stage1_enabled <- enabled
 
-let now t = Engine.now (Network.engine t.net)
+let[@dumbnet.hot] now t = Engine.now (Network.engine t.net)
 
-let send_raw t frame = Network.host_send t.net t.self frame
+let[@dumbnet.hot] send_raw t frame = Network.host_send t.net t.self frame
 
 let reveal_topology t ~dst = Topocache.reveal t.cache ~dst
 
@@ -145,12 +148,33 @@ let path_for t ~dst ~flow =
   | Some _ as p -> p
   | None -> Pathtable.choose t.table ~dst ~flow
 
-let transmit_along t path payload =
-  let frame =
-    Frame.along_path ~src:t.self ~dst:path.Path.dst ~tags_of:(Path.tags path) ~payload
-  in
+let[@dumbnet.hot] transmit_tags t ~dst ~tags payload =
+  let frame = Frame.dumbnet ~src:t.self ~dst:(Frame.Node (Host dst)) ~tags ~payload in
   let frame = if t.int_enabled then Frame.with_int frame else frame in
   send_raw t frame
+
+let[@dumbnet.hot] transmit_along t path payload =
+  transmit_tags t ~dst:path.Path.dst ~tags:(Tag.of_ports (Path.tags path)) payload
+
+(* The data send: a custom routing function's path is tagged per
+   packet; a Pathtable binding carries the tags built when the flow was
+   bound, so a warm send builds only the frame. *)
+let[@dumbnet.hot] send_routed t ~dst ~flow payload =
+  let custom =
+    match t.routing_fn with
+    | Some f -> f t ~now_ns:(now t) ~dst ~flow
+    | None -> None
+  in
+  match custom with
+  | Some path as sent ->
+    transmit_along t path payload;
+    sent
+  | None -> (
+    match Pathtable.choose_binding t.table ~dst ~flow with
+    | Some b ->
+      transmit_tags t ~dst:b.Pathtable.path.Path.dst ~tags:b.Pathtable.tags payload;
+      Some b.Pathtable.path
+    | None -> None)
 
 let query_path t ~dst =
   match t.local_paths with
@@ -232,10 +256,9 @@ let send_data t ~dst ~flow ?(seq = 0) ~size () =
   if dst = t.self then No_route
   else begin
     let payload = Payload.Data { flow; seq; size; sent_ns = now t } in
-    match path_for t ~dst ~flow with
+    match send_routed t ~dst ~flow payload with
     | Some path ->
       t.stats.data_sent <- t.stats.data_sent + 1;
-      transmit_along t path payload;
       Sent path
     | None ->
       let want_query = enqueue_pending t ~dst payload in
@@ -391,7 +414,11 @@ let deliver_data t ~src payload =
   | Payload.Data { size; sent_ns; _ } ->
     t.stats.data_received <- t.stats.data_received + 1;
     t.stats.bytes_received <- t.stats.bytes_received + size;
-    t.stats.latency_samples_ns <- (now t - sent_ns) :: t.stats.latency_samples_ns
+    let latency = now t - sent_ns in
+    t.stats.latency_count <- t.stats.latency_count + 1;
+    t.stats.latency_sum_ns <- t.stats.latency_sum_ns + latency;
+    if latency > t.stats.latency_max_ns then t.stats.latency_max_ns <- latency;
+    t.stats.latency_last_ns <- latency
   | _ -> ());
   match t.data_cb with
   | Some f -> f ~src payload
@@ -514,7 +541,10 @@ let create ?k ?(nic = Nic.Dumbnet_agent) ~network:net ~rng ~self () =
           data_sent = 0;
           data_received = 0;
           bytes_received = 0;
-          latency_samples_ns = [];
+          latency_count = 0;
+          latency_sum_ns = 0;
+          latency_max_ns = 0;
+          latency_last_ns = 0;
           queries_sent = 0;
           responses_received = 0;
           floods_sent = 0;

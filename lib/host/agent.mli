@@ -27,7 +27,10 @@ type stats = {
   mutable data_sent : int;
   mutable data_received : int;
   mutable bytes_received : int;
-  mutable latency_samples_ns : int list;  (** one per data packet received *)
+  mutable latency_count : int;  (** data packets received with a latency sample *)
+  mutable latency_sum_ns : int;  (** send-to-receive latencies, summed *)
+  mutable latency_max_ns : int;
+  mutable latency_last_ns : int;  (** the most recent sample; 0 before any *)
   mutable queries_sent : int;
   mutable responses_received : int;
   mutable floods_sent : int;

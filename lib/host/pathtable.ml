@@ -1,15 +1,21 @@
 open Dumbnet_topology
 open Types
+open Dumbnet_packet
 
 type entry = {
   paths : Path.t list;
   backup : Path.t option;
 }
 
+type binding = {
+  path : Path.t;
+  tags : Tag.t list;
+}
+
 type slot = {
   mutable entry : entry;
   mutable degraded : bool; (* lost at least one path to a failure *)
-  bindings : (int, Path.t) Hashtbl.t; (* flow -> bound path *)
+  bindings : (int, binding) Hashtbl.t; (* flow -> bound path and its tags *)
 }
 
 type t = { slots : (host_id, slot) Hashtbl.t }
@@ -44,14 +50,16 @@ let paths_to t ~dst =
 
 (* Deterministic flow-hash over the k choices: the same flow always
    lands on the same path without per-packet randomness. *)
-let flow_hash flow k = if k <= 0 then 0 else abs (Hashtbl.hash flow) mod k
+let[@dumbnet.hot] flow_hash flow k = if k <= 0 then 0 else abs (Hashtbl.hash flow) mod k
 
-let choose t ~dst ~flow =
+(* A flow's tag list is built once, when the flow is bound: every later
+   packet of the flow reuses it. *)
+let[@dumbnet.hot] choose_binding t ~dst ~flow =
   match Hashtbl.find_opt t.slots dst with
   | None -> None
   | Some slot -> (
     match Hashtbl.find_opt slot.bindings flow with
-    | Some path -> Some path
+    | Some _ as bound -> bound
     | None -> (
       let candidate =
         match slot.entry.paths with
@@ -61,8 +69,14 @@ let choose t ~dst ~flow =
       match candidate with
       | None -> None
       | Some path ->
-        Hashtbl.replace slot.bindings flow path;
-        Some path))
+        let b = { path; tags = Tag.of_ports (Path.tags path) } in
+        Hashtbl.replace slot.bindings flow b;
+        Some b))
+
+let choose t ~dst ~flow =
+  match choose_binding t ~dst ~flow with
+  | Some b -> Some b.path
+  | None -> None
 
 let choose_nth t ~dst ~n =
   match Hashtbl.find_opt t.slots dst with
@@ -90,7 +104,7 @@ let invalidate_by t ~dies =
         slot.degraded <- true;
         (* Forget bindings to dropped paths so flows re-pick. *)
         Hashtbl.fold
-          (fun flow path acc -> if dies path then flow :: acc else acc)
+          (fun flow b acc -> if dies b.path then flow :: acc else acc)
           slot.bindings []
         |> List.iter (Hashtbl.remove slot.bindings);
         match (keep, backup) with

@@ -8,6 +8,7 @@
 
 open Dumbnet_topology
 open Types
+open Dumbnet_packet
 
 type entry = {
   paths : Path.t list;  (** k shortest, best first; never empty *)
@@ -34,6 +35,15 @@ val choose : t -> dst:host_id -> flow:int -> Path.t option
 (** The flow's bound path, binding it (by flow-hash over the k choices)
     on first use. Falls back to the backup when all k paths have been
     invalidated, rebinding the flow. *)
+
+type binding = {
+  path : Path.t;
+  tags : Tag.t list;  (** [path]'s routing tags, ø-terminated, ready for a frame *)
+}
+
+val choose_binding : t -> dst:host_id -> flow:int -> binding option
+(** {!choose} with the bound path's tag list, built once when the flow
+    is bound rather than per packet. *)
 
 val choose_nth : t -> dst:host_id -> n:int -> Path.t option
 (** Deterministically pick choice [n mod k] — the hook the flowlet

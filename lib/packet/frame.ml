@@ -35,7 +35,7 @@ let stamp_count t = t.int_count
 
 let mark_ecn t = if t.ecn then t else { t with ecn = true }
 
-let with_int t = if t.int_enabled then t else { t with int_enabled = true }
+let[@dumbnet.hot] with_int t = if t.int_enabled then t else { t with int_enabled = true }
 
 let with_prog prog t = { t with prog = Some prog }
 
@@ -54,7 +54,7 @@ let[@dumbnet.hot] add_stamp stamp t =
 
 let with_priority priority t = { t with priority }
 
-let priority_of_payload = function
+let[@dumbnet.hot] priority_of_payload = function
   (* INT probes ride the normal lane on purpose: they must experience
      the queueing that data experiences, or the stamps lie. *)
   | Payload.Data _ | Payload.Int_probe _ -> Normal
@@ -64,13 +64,13 @@ let priority_of_payload = function
   | Payload.Ecn_echo _ | Payload.Rts _ | Payload.Token _ ->
     High
 
-let rec ends_with_terminator = function
+let[@dumbnet.hot] rec ends_with_terminator = function
   | [] -> false
   | [ Tag.End_of_path ] -> true
   | Tag.End_of_path :: _ -> false (* ø must be last *)
   | (Tag.Forward _ | Tag.Id_query) :: rest -> ends_with_terminator rest
 
-let dumbnet ~src ~dst ~tags ~payload =
+let[@dumbnet.hot] dumbnet ~src ~dst ~tags ~payload =
   if not (ends_with_terminator tags) then
     invalid_arg "Frame.dumbnet: tag sequence must end with a single ø";
   {

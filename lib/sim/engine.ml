@@ -1,33 +1,46 @@
 (* The pending-event queue is the simulator's hottest structure: every
-   switch hop pushes and pops at least one event. It is a binary
-   min-heap over three parallel arrays — unboxed int timestamps, unboxed
-   int tie-break sequence numbers (insertion order, with the daemon flag
-   in the low bit so it never reorders), and the event closures — so a
-   sift moves machine ints and one pointer, allocates nothing, and never
-   calls a comparison closure. Order: fire time ascending, then
-   insertion order (FIFO among equal times). *)
+   switch hop pushes and pops at least one event, and each data frame
+   waits in it through two ~0.56 ms host-stack latencies, so tens of
+   thousands of events are pending at once. It is a binary min-heap
+   whose lanes hold only ints — fire time, tie-break sequence number
+   (insertion order, with the daemon flag in the low bit so it never
+   reorders) and the index of the event's closure in a slot table. A
+   sift moves ints through a hole, one write per lane per level, with
+   no write barrier and no comparison closure. A closure is written
+   into its slot once on push and cleared once on pop; freed slots are
+   recycled through a stack. Order: fire time ascending, then insertion
+   order (FIFO among equal times). *)
 
 let dummy_fn () = ()
 
-type heap = {
-  mutable keys : int array; (* fire time, ns *)
-  mutable seqs : int array; (* (insertion order lsl 1) lor daemon bit *)
-  mutable fns : (unit -> unit) array;
-  mutable size : int;
-}
-
 type t = {
   mutable clock : int;
-  h : heap;
+  (* heap lanes, indexed by heap position *)
+  mutable keys : int array; (* fire time, ns *)
+  mutable seqs : int array; (* (insertion order lsl 1) lor daemon bit *)
+  mutable slots : int array; (* the event's index into [fns] *)
+  mutable size : int;
+  (* slot table, indexed by slot *)
+  mutable fns : (unit -> unit) array;
+  mutable free : int array; (* free slots, [free.(0 .. nfree-1)] *)
+  mutable nfree : int;
   mutable next_seq : int;
   mutable processed : int;
   mutable regular : int; (* pending non-daemon events *)
 }
 
+let initial_capacity = 16
+
 let create () =
   {
     clock = 0;
-    h = { keys = Array.make 16 0; seqs = Array.make 16 0; fns = Array.make 16 dummy_fn; size = 0 };
+    keys = Array.make initial_capacity 0;
+    seqs = Array.make initial_capacity 0;
+    slots = Array.make initial_capacity 0;
+    size = 0;
+    fns = Array.make initial_capacity dummy_fn;
+    free = Array.init initial_capacity (fun i -> initial_capacity - 1 - i);
+    nfree = initial_capacity;
     next_seq = 0;
     processed = 0;
     regular = 0;
@@ -35,64 +48,78 @@ let create () =
 
 let now t = t.clock
 
-(* Order by time, then by insertion for FIFO among equal times. *)
-let less h i j =
-  h.keys.(i) < h.keys.(j) || (h.keys.(i) = h.keys.(j) && h.seqs.(i) < h.seqs.(j))
-
-let swap h i j =
-  let k = h.keys.(i) in
-  h.keys.(i) <- h.keys.(j);
-  h.keys.(j) <- k;
-  let s = h.seqs.(i) in
-  h.seqs.(i) <- h.seqs.(j);
-  h.seqs.(j) <- s;
-  let f = h.fns.(i) in
-  h.fns.(i) <- h.fns.(j);
-  h.fns.(j) <- f
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less h i parent then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < h.size && less h l i then l else i in
-  let smallest = if r < h.size && less h r smallest then r else smallest in
-  if smallest <> i then begin
-    swap h i smallest;
-    sift_down h smallest
-  end
-
-let grow h =
-  let cap = Array.length h.keys in
+(* Only called when every slot is taken (size = capacity), so the new
+   free slots are exactly the new upper half. *)
+let grow t =
+  let cap = Array.length t.keys in
   let new_cap = 2 * cap in
-  let keys = Array.make new_cap 0 in
-  let seqs = Array.make new_cap 0 in
-  let fns = Array.make new_cap dummy_fn in
-  Array.blit h.keys 0 keys 0 h.size;
-  Array.blit h.seqs 0 seqs 0 h.size;
-  Array.blit h.fns 0 fns 0 h.size;
-  h.keys <- keys;
-  h.seqs <- seqs;
-  h.fns <- fns
+  let extend a fill =
+    let b = Array.make new_cap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.keys <- extend t.keys 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.fns <- extend t.fns dummy_fn;
+  t.free <- Array.init new_cap (fun i -> if i < cap then new_cap - 1 - i else 0);
+  t.nfree <- cap
+
+(* Walk a hole at [i] towards the root while the parent orders after
+   (key, seq), shifting each such parent down into the hole; returns
+   where (key, seq) belongs. The lanes are annotated [int array] so the
+   comparisons compile to machine compares, not [caml_lessthan]. *)
+let[@dumbnet.hot] rec hole_up (keys : int array) (seqs : int array) (slots : int array) i
+    (key : int) (seq : int) =
+  if i = 0 then 0
+  else begin
+    let parent = (i - 1) / 2 in
+    let pk = keys.(parent) in
+    if key < pk || (key = pk && seq < seqs.(parent)) then begin
+      keys.(i) <- pk;
+      seqs.(i) <- seqs.(parent);
+      slots.(i) <- slots.(parent);
+      hole_up keys seqs slots parent key seq
+    end
+    else i
+  end
+
+(* Walk a hole at [i] towards the leaves of an [n]-element heap while
+   the smaller child orders before (key, seq), shifting it up into the
+   hole; returns where (key, seq) belongs. *)
+let[@dumbnet.hot] rec hole_down (keys : int array) (seqs : int array) (slots : int array) n
+    i (key : int) (seq : int) =
+  let l = (2 * i) + 1 in
+  if l >= n then i
+  else begin
+    let r = l + 1 in
+    let c =
+      if r < n && (keys.(r) < keys.(l) || (keys.(r) = keys.(l) && seqs.(r) < seqs.(l))) then r
+      else l
+    in
+    let ck = keys.(c) in
+    if ck < key || (ck = key && seqs.(c) < seq) then begin
+      keys.(i) <- ck;
+      seqs.(i) <- seqs.(c);
+      slots.(i) <- slots.(c);
+      hole_down keys seqs slots n c key seq
+    end
+    else i
+  end
 
 let[@dumbnet.hot] push t at ~daemon fn =
   let seq = (t.next_seq lsl 1) lor if daemon then 1 else 0 in
   t.next_seq <- t.next_seq + 1;
   if not daemon then t.regular <- t.regular + 1;
-  let h = t.h in
-  if h.size = Array.length h.keys then grow h;
-  let i = h.size in
-  h.keys.(i) <- at;
-  h.seqs.(i) <- seq;
-  h.fns.(i) <- fn;
-  h.size <- h.size + 1;
-  sift_up h i
+  if t.size = Array.length t.keys then grow t;
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) in
+  t.fns.(slot) <- fn;
+  let i = hole_up t.keys t.seqs t.slots t.size at seq in
+  t.keys.(i) <- at;
+  t.seqs.(i) <- seq;
+  t.slots.(i) <- slot;
+  t.size <- t.size + 1
 
 let schedule t ~delay_ns f =
   if delay_ns < 0 then invalid_arg "Engine.schedule: negative delay";
@@ -106,41 +133,51 @@ let schedule_daemon t ~delay_ns f =
   if delay_ns < 0 then invalid_arg "Engine.schedule_daemon: negative delay";
   push t (t.clock + delay_ns) ~daemon:true f
 
-let[@dumbnet.hot] run ?until_ns ?max_events t =
-  let h = t.h in
-  let budget = ref (Option.value max_events ~default:max_int) in
+(* Remove the root and return its closure; the caller has checked the
+   heap is non-empty and read the root's key. *)
+let[@dumbnet.hot] pop_fn t =
+  let keys = t.keys and seqs = t.seqs and slots = t.slots in
+  let slot = slots.(0) in
+  let fn = t.fns.(slot) in
+  t.fns.(slot) <- dummy_fn;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
+  if seqs.(0) land 1 = 0 then t.regular <- t.regular - 1;
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let key = keys.(n) and seq = seqs.(n) and last = slots.(n) in
+    let i = hole_down keys seqs slots n 0 key seq in
+    keys.(i) <- key;
+    seqs.(i) <- seq;
+    slots.(i) <- last
+  end;
+  fn
+
+let[@dumbnet.hot] run ?until_ns t =
+  let bounded, limit =
+    match until_ns with
+    | Some limit -> (true, limit)
+    | None -> (false, max_int)
+  in
   let continue = ref true in
-  while !continue && !budget > 0 do
+  while !continue do
     (* Without a time bound, stop when only daemons remain. *)
-    if (until_ns = None && t.regular = 0) || h.size = 0 then continue := false
+    if t.size = 0 || ((not bounded) && t.regular = 0) then continue := false
     else begin
-      let at = h.keys.(0) in
-      match until_ns with
-      | Some limit when at > limit -> continue := false
-      | Some _ | None ->
-        let daemon = h.seqs.(0) land 1 = 1 in
-        let fn = h.fns.(0) in
-        h.size <- h.size - 1;
-        if h.size > 0 then begin
-          h.keys.(0) <- h.keys.(h.size);
-          h.seqs.(0) <- h.seqs.(h.size);
-          h.fns.(0) <- h.fns.(h.size);
-          h.fns.(h.size) <- dummy_fn;
-          sift_down h 0
-        end
-        else h.fns.(0) <- dummy_fn;
-        t.clock <- max t.clock at;
+      let at = t.keys.(0) in
+      if at > limit then continue := false
+      else begin
+        let fn = pop_fn t in
+        if at > t.clock then t.clock <- at;
         t.processed <- t.processed + 1;
-        if not daemon then t.regular <- t.regular - 1;
-        decr budget;
         fn ()
+      end
     end
   done;
-  match until_ns with
-  | Some limit when t.clock < limit && Option.is_none max_events -> t.clock <- limit
-  | Some _ | None -> ()
+  if bounded && t.clock < limit then t.clock <- limit
 
-let pending t = t.h.size
+let pending t = t.size
 
 let pending_regular t = t.regular
 

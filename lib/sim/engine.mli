@@ -21,10 +21,10 @@ val schedule_daemon : t -> delay_ns:int -> (unit -> unit) -> unit
     run-to-idle loop forever). Daemons scheduled before pending regular
     events still fire in time order. *)
 
-val run : ?until_ns:int -> ?max_events:int -> t -> unit
-(** Processes events until no non-daemon events remain or a limit is
-    hit. With [until_ns], all events (daemons included) up to that time
-    run and [now] advances to exactly [until_ns]. *)
+val run : ?until_ns:int -> t -> unit
+(** Processes events until no non-daemon events remain. With
+    [until_ns], all events (daemons included) up to that time run
+    instead and [now] advances to exactly [until_ns]. *)
 
 val pending_regular : t -> int
 

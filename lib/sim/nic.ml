@@ -8,13 +8,13 @@ type mode =
    2144 ns -> 5.41 Gbps, 2234 ns -> 5.19 Gbps. The MPLS header copy is
    the paper's ~4% hit; the DumbNet tag logic on top is negligible
    (sub-10 ns against Table 2's microsecond-scale service times). *)
-let min_tx_gap_ns = function
+let[@dumbnet.hot] min_tx_gap_ns = function
   | Native -> 1160 (* line-rate 10 GbE for MTU frames *)
   | Dpdk_noop -> 2144
   | Dpdk_mpls -> 2234
   | Dumbnet_agent -> 2236
 
-let tx_latency_ns = function
+let[@dumbnet.hot] tx_latency_ns = function
   | Native -> 15_000
   | Dpdk_noop -> 550_000
   | Dpdk_mpls -> 560_000

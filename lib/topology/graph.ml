@@ -145,7 +145,7 @@ let[@dumbnet.hot] peer_port t le =
   | Some { plug = To_switch other; _ } -> Some other
   | Some { plug = To_host _; _ } | None -> None
 
-let host_location t h =
+let[@dumbnet.hot] host_location t h =
   match Hashtbl.find_opt t.hosts h with
   | Some r -> !r
   | None -> None
@@ -184,7 +184,7 @@ let[@dumbnet.hot] switch_neighbors t sw =
     []
   |> List.rev
 
-let link_up t le =
+let[@dumbnet.hot] link_up t le =
   match slot_at t le with
   | Some slot -> slot.up
   | None -> false

@@ -10,7 +10,7 @@ type adjacency = switch_id -> (port * switch_id * port) list
 
 let length t = List.length t.hops
 
-let tags t = List.map snd t.hops
+let[@dumbnet.hot] tags t = List.map snd t.hops
 
 let switches t = List.map fst t.hops
 

@@ -215,9 +215,12 @@ let test_agent_latency_samples () =
   let fab = Fabric.create built in
   ignore (Fabric.send fab ~src:0 ~dst:4 ~size:500 ());
   Fabric.run fab;
-  match (Agent.stats (Fabric.agent fab 4)).Agent.latency_samples_ns with
-  | [ ns ] -> Alcotest.(check bool) "plausible latency" true (ns > 0 && ns < 100_000_000)
-  | _ -> Alcotest.fail "one sample expected"
+  let st = Agent.stats (Fabric.agent fab 4) in
+  check Alcotest.int "one sample" 1 st.Agent.latency_count;
+  let ns = st.Agent.latency_last_ns in
+  Alcotest.(check bool) "plausible latency" true (ns > 0 && ns < 100_000_000);
+  check Alcotest.int "sum of one sample" ns st.Agent.latency_sum_ns;
+  check Alcotest.int "max of one sample" ns st.Agent.latency_max_ns
 
 let test_agent_failover_uses_cache () =
   let built = Builder.figure1 () in
