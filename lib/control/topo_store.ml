@@ -2,7 +2,6 @@ open Dumbnet_topology
 open Types
 open Dumbnet_packet
 module Pool = Dumbnet_util.Pool
-module Rng = Dumbnet_util.Rng
 
 (* Defined before [t] on purpose: the field names mirror [t]'s mutable
    counters, and the later definition must win unannotated inference. *)
@@ -20,18 +19,10 @@ type t = {
   mutable pending : Payload.change list; (* newest first *)
   (* Per-source-switch BFS distance tables (id-indexed int arrays, -1
      unreachable), shared across path-graph queries: the O(hosts²)
-     query pattern keeps asking about the same few switches.
-     Generation-checked against the graph so any applied event (failure
-     notice, patch, discovered link) invalidates it. *)
+     query pattern keeps asking about the same few switches. Applied
+     events repair it in place (scoped eviction below); any other graph
+     mutation drops it through the generation check. *)
   dist_cache : (switch_id, Adjacency.distances) Hashtbl.t;
-  (* Reverse index for scoped invalidation: cable -> the BFS roots whose
-     cached table the cable is tight for (|d a - d b| = 1), plus the
-     forward map so evicting a root can unregister it. Failing any
-     non-tight cable provably changes no distance from that root, so a
-     single link event evicts only the reverse-index hit set instead of
-     resetting the table (the pre-PR recompute storm). *)
-  link_users : (Link_key.t, (switch_id, unit) Hashtbl.t) Hashtbl.t;
-  root_links : (switch_id, Link_key.t list) Hashtbl.t;
   (* Generation bookkeeping is split: [dist_gen] is the topology
      generation the cache as a whole is synced to — advanced in place
      by the scoped-repair paths — while per-entry validity is implied
@@ -63,8 +54,6 @@ let create g =
     version = 0;
     pending = [];
     dist_cache = Hashtbl.create 64;
-    link_users = Hashtbl.create 64;
-    root_links = Hashtbl.create 64;
     dist_gen = -1;
     dist_hits = 0;
     dist_misses = 0;
@@ -90,64 +79,13 @@ let[@dumbnet.hot] assert_not_in_batch t what =
 
 (* --- scoped distance-cache repair ------------------------------------ *)
 
-(* Record [from]'s freshly computed table in the cache and in the
-   reverse index: every cable that is tight for it (|d a - d b| = 1,
-   both ends reachable) can invalidate it later; no other cable can. *)
-let[@dumbnet.hot] register_root t from d =
-  let snap = Graph.adjacency t.g in
-  let keys = ref [] in
-  for i = 0 to Adjacency.num_switches snap - 1 do
-    let sw = Adjacency.id_of snap i in
-    let dsw = Adjacency.distance d sw in
-    if dsw >= 0 then
-      Adjacency.iter_neighbors snap sw (fun ~out ~peer ~peer_in ->
-          if sw < peer then begin
-            let dpeer = Adjacency.distance d peer in
-            if dpeer >= 0 && abs (dsw - dpeer) = 1 then begin
-              let key = Link_key.make { sw; port = out } { sw = peer; port = peer_in } in
-              keys := key :: !keys;
-              let users =
-                match Hashtbl.find_opt t.link_users key with
-                | Some u -> u
-                | None ->
-                  let u = Hashtbl.create 8 in
-                  Hashtbl.replace t.link_users key u;
-                  u
-              in
-              Hashtbl.replace users from ()
-            end
-          end)
-  done;
-  Hashtbl.replace t.root_links from !keys
-
-let[@dumbnet.hot] insert_table t from d =
-  Hashtbl.replace t.dist_cache from d;
-  register_root t from d
-
-let unregister_root t from =
-  (match Hashtbl.find_opt t.root_links from with
-  | None -> ()
-  | Some keys ->
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt t.link_users key with
-        | None -> ()
-        | Some users ->
-          Hashtbl.remove users from;
-          if Hashtbl.length users = 0 then Hashtbl.remove t.link_users key)
-      keys);
-  Hashtbl.remove t.root_links from
-
 (* Evict one stale table; the next lookup from [from] recomputes it. *)
 let evict_root t from =
   Hashtbl.remove t.dist_cache from;
-  unregister_root t from;
   t.evicted_roots <- t.evicted_roots + 1
 
 let[@dumbnet.hot] reset_cache t =
   Hashtbl.reset t.dist_cache;
-  Hashtbl.reset t.link_users;
-  Hashtbl.reset t.root_links;
   t.dist_gen <- Graph.generation t.g
 
 (* The one generation check — the singular lookup path and the batch
@@ -162,32 +100,27 @@ let[@dumbnet.hot] sync_generation t =
   end
 
 (* Scoped repair after one switch-to-switch link event — the
-   replacement for the wholesale reset. Failure: exactly the
-   reverse-index hit set can change. Restore (or new cable): distances
-   can only shrink, and a table survives iff it already holds both
-   ends at most one hop apart (no shortcut possible) or neither end at
-   all (the cable joins components the root cannot see). Both rules
-   are exact for BFS distance tables, so every retained entry is
-   byte-identical to a from-scratch recompute — the qcheck
-   incremental-vs-cold suite holds us to that. *)
+   replacement for the wholesale reset. Failure: a table can change only
+   if the cable is tight for it (both ends reachable, one hop apart), so
+   exactly those are evicted; every other shortest path from the root
+   avoids the cable. Restore (or new cable): distances can only shrink,
+   and a table survives iff it already holds both ends at most one hop
+   apart (no shortcut possible) or neither end at all (the cable joins
+   components the root cannot see). Both rules read the cached tables
+   themselves, at most one per switch, so no per-cable index is kept.
+   Every retained entry is byte-identical to a from-scratch recompute —
+   the qcheck incremental-vs-cold suite holds us to that. *)
 let repair_after_link_change t a b ~up =
   t.repair_events <- t.repair_events + 1;
   let before = Hashtbl.length t.dist_cache in
-  let victims = ref [] in
-  if not up then begin
-    match Hashtbl.find_opt t.link_users (Link_key.make a b) with
-    | None -> ()
-    | Some users -> Hashtbl.iter (fun root () -> victims := root :: !victims) users
-  end
-  else
-    Hashtbl.iter
-      (fun root d ->
-        let da = Adjacency.distance d a.sw and db = Adjacency.distance d b.sw in
-        let unchanged = (da >= 0 && db >= 0 && abs (da - db) <= 1) || (da < 0 && db < 0) in
-        if not unchanged then victims := root :: !victims)
-      t.dist_cache;
-  List.iter (fun root -> evict_root t root) !victims;
-  t.retained_roots <- t.retained_roots + before - List.length !victims;
+  let stale d =
+    let da = Adjacency.distance d a.sw and db = Adjacency.distance d b.sw in
+    if up then not ((da >= 0 && db >= 0 && abs (da - db) <= 1) || (da < 0 && db < 0))
+    else da >= 0 && db >= 0 && abs (da - db) = 1
+  in
+  let victims = Hashtbl.fold (fun root d acc -> if stale d then root :: acc else acc) t.dist_cache [] in
+  List.iter (fun root -> evict_root t root) victims;
+  t.retained_roots <- t.retained_roots + before - List.length victims;
   t.dist_gen <- Graph.generation t.g
 
 let invalidate_dist_cache t =
@@ -205,7 +138,7 @@ let[@dumbnet.hot] distances t ~from =
   | None ->
     t.dist_misses <- t.dist_misses + 1;
     let d = Adjacency.bfs_distances (Graph.adjacency t.g) ~from in
-    insert_table t from d;
+    Hashtbl.replace t.dist_cache from d;
     d
 
 (* Reading plain ints is safe at any time, batch or not. *)
@@ -298,16 +231,6 @@ let apply_patch g changes =
 
 (* --- batched path-graph service ------------------------------------- *)
 
-(* The determinism contract: when a batch wants randomized tie-breaks,
-   each item draws from its own generator seeded purely from
-   (src, dst, epoch) — never from a stream shared across items — so the
-   answer for a pair depends only on the topology, not on batch
-   composition, chunking, or domain scheduling. [epoch] is the graph
-   generation: any applied event reseeds every pair. *)
-let item_seed ~epoch ~src ~dst =
-  let mix h v = (h lxor (v + 0x9e3779b9 + (h lsl 6) + (h lsr 2))) land max_int in
-  mix (mix (mix 0x27d4eb2d epoch) src) dst
-
 (* One worker's private cache shard. Only its owning domain touches it
    during the batch; the coordinator folds it back into the shared
    cache after every chunk has joined. *)
@@ -317,20 +240,48 @@ type shard = {
   mutable sh_misses : int;
 }
 
-let serve_batch ?s ?eps ~rng_for ~pool t pairs =
+(* Group a batch by switch pair: the distinct (source switch,
+   destination switch) pairs in first-appearance order, and for each
+   item the index of its pair, or -1 when a host is detached. *)
+let[@dumbnet.hot] group_by_switch_pair g pairs =
+  let slot_of = Hashtbl.create (min 64 (Array.length pairs)) in
+  let keys = ref [] and count = ref 0 in
+  let slots =
+    Array.map
+      (fun (src, dst) ->
+        match (Graph.host_location g src, Graph.host_location g dst) with
+        | None, _ | _, None -> -1
+        | Some a, Some b -> (
+          let key = (a.sw, b.sw) in
+          match Hashtbl.find_opt slot_of key with
+          | Some i -> i
+          | None ->
+            let i = !count in
+            Hashtbl.replace slot_of key i;
+            keys := key :: !keys;
+            incr count;
+            i))
+      pairs
+  in
+  (Array.of_list (List.rev !keys), slots)
+
+(* Build each distinct body once — over the pool when there is one —
+   then stamp every item on its body. Bodies live for this batch only:
+   it sees one frozen graph, so nothing needs invalidating, and no body
+   outlives the graph it was built on. *)
+let serve_path_graphs ?s ?eps ?pool t pairs =
   assert_not_in_batch t "serve_path_graphs";
   (* Refresh generation-derived state while still single-threaded: the
      shared cache and the CSR adjacency snapshot are read-only below.
      Same helper as the singular path — the two checks cannot drift. *)
   sync_generation t;
   let snap = Graph.adjacency t.g in
-  let epoch = Graph.generation t.g in
   let jobs = match pool with Some p -> Pool.jobs p | None -> 1 in
   let shards =
     Array.init jobs (fun _ ->
         { sh_tbl = Hashtbl.create 32; sh_hits = 0; sh_misses = 0 })
   in
-  let serve_one ~worker (src, dst) =
+  let build_one ~worker (src_sw, dst_sw) =
     let shard = shards.(worker) in
     let dist ~from =
       match Hashtbl.find_opt t.dist_cache from with
@@ -348,21 +299,21 @@ let serve_batch ?s ?eps ~rng_for ~pool t pairs =
           Hashtbl.replace shard.sh_tbl from d;
           d)
     in
-    let rng = rng_for ~epoch ~src ~dst in
-    Pathgraph.generate ?s ?eps ?rng ~dist t.g ~src ~dst
+    Pathgraph.body ?s ?eps ~dist t.g ~src_sw ~dst_sw
   in
+  let keys, slots = group_by_switch_pair t.g pairs in
   t.in_batch <- true;
-  let results =
+  let bodies =
     Fun.protect
       ~finally:(fun () -> t.in_batch <- false)
       (fun () ->
         match pool with
-        | Some p when Pool.worthwhile ~jobs:(Pool.jobs p) ~items:(Array.length pairs) ->
-          Pool.parallel_map p ~f:serve_one pairs
+        | Some p when Pool.worthwhile ~jobs:(Pool.jobs p) ~items:(Array.length keys) ->
+          Pool.parallel_map p ~f:build_one keys
         | Some _ | None ->
-          (* jobs = 1, or a batch too small to amortize handing chunks
-             to parked domains: run inline, byte-identical either way. *)
-          Array.map (serve_one ~worker:0) pairs)
+          (* jobs = 1, or too few bodies to amortize handing chunks to
+             parked domains: run inline, byte-identical either way. *)
+          Array.map (build_one ~worker:0) keys)
   in
   (* Fold the shards back: BFS is deterministic on the frozen snapshot,
      so duplicate keys across shards hold identical tables — first one
@@ -371,22 +322,18 @@ let serve_batch ?s ?eps ~rng_for ~pool t pairs =
   Array.iter
     (fun shard ->
       Hashtbl.iter
-        (fun from d ->
-          if not (Hashtbl.mem t.dist_cache from) then insert_table t from d)
+        (fun from d -> if not (Hashtbl.mem t.dist_cache from) then Hashtbl.replace t.dist_cache from d)
         shard.sh_tbl;
       t.dist_hits <- t.dist_hits + shard.sh_hits;
       t.dist_misses <- t.dist_misses + shard.sh_misses)
     shards;
-  results
-
-let serve_path_graphs ?s ?eps ?(randomize = false) ?pool t pairs =
-  let rng_for ~epoch ~src ~dst =
-    if randomize then Some (Rng.create (item_seed ~epoch ~src ~dst)) else None
-  in
-  serve_batch ?s ?eps ~rng_for ~pool t pairs
+  Array.mapi
+    (fun i (src, dst) ->
+      let slot = slots.(i) in
+      if slot < 0 then None
+      else Option.bind bodies.(slot) (fun b -> Pathgraph.stamp t.g b ~src ~dst))
+    pairs
 
 (* The singular query is the batch code path with one item and no pool:
    one implementation to trust, one set of cache semantics. *)
-let serve_path_graph ?s ?eps ?rng t ~src ~dst =
-  let rng_for ~epoch:_ ~src:_ ~dst:_ = rng in
-  (serve_batch ?s ?eps ~rng_for ~pool:None t [| (src, dst) |]).(0)
+let serve_path_graph ?s ?eps t ~src ~dst = (serve_path_graphs ?s ?eps t [| (src, dst) |]).(0)

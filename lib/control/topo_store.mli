@@ -32,10 +32,12 @@ val apply_event : t -> Payload.link_event -> outcome
 
     An applied event repairs the memoized distance cache {e in place}
     instead of resetting it: a failed cable evicts only the tables it
-    was tight for (tracked by a cable → roots reverse index), a
-    restored or new cable only the tables it could shorten. Retained
-    tables are provably byte-identical to a fresh BFS on the mutated
-    graph. See {!repair_stats} for the eviction/retention counters. *)
+    is tight for (both ends reachable, one hop apart), a restored or
+    new cable only the tables it could shorten. Both rules are checked
+    against the cached tables when the event arrives, so the cache keeps
+    no per-cable index. Retained tables are provably byte-identical to
+    a fresh BFS on the mutated graph. See {!repair_stats} for the
+    eviction/retention counters. *)
 
 val record_discovered_link : t -> link_end -> link_end -> unit
 (** Result of re-probing after [Needs_probe]: a brand-new cable. Either
@@ -51,42 +53,40 @@ val apply_patch : Graph.t -> Payload.change list -> unit
     catch-up, host-side full views). Unknown elements are ignored — a
     patch can reference switches a stale view never saw. *)
 
-val serve_path_graph :
-  ?s:int -> ?eps:int -> ?rng:Dumbnet_util.Rng.t -> t -> src:host_id -> dst:host_id ->
-  Pathgraph.t option
+val serve_path_graph : ?s:int -> ?eps:int -> t -> src:host_id -> dst:host_id -> Pathgraph.t option
 (** Answer a host's path query from the current view. Queries share
     memoized per-switch BFS distance tables, so bursts of queries (the
     bootstrap push, the post-failure re-query storm) cost one BFS per
-    distinct switch instead of one per query. The tables are
-    generation-checked against the graph: any applied event or
-    discovered link invalidates them, so answers are always identical
-    to a fresh {!Pathgraph.generate}. Implemented as a one-item
+    distinct switch instead of one per query. The tables are repaired on
+    every applied event or discovered link ({!apply_event}) and dropped
+    on any other graph mutation, so answers are always identical to a
+    fresh {!Pathgraph.generate} without [rng]. Implemented as a one-item
     {!serve_path_graphs} batch — there is exactly one code path. *)
 
 val serve_path_graphs :
   ?s:int ->
   ?eps:int ->
-  ?randomize:bool ->
   ?pool:Dumbnet_util.Pool.t ->
   t ->
   (host_id * host_id) array ->
   Pathgraph.t option array
 (** Answer a whole batch of [(src, dst)] queries, optionally in
-    parallel over [pool]'s worker domains. Results align with the input
-    by index and are byte-identical to serving each query sequentially,
-    whatever the pool size or domain scheduling:
+    parallel over [pool]'s worker domains. The batch is grouped by
+    (source switch, destination switch): each distinct pair's
+    {!Pathgraph.body} is built once, and every query is then stamped on
+    its pair's body, sharing it read-only. Bodies are dropped when the
+    batch returns. Results align with the input by index and are
+    byte-identical to serving each query alone with
+    {!Pathgraph.generate}, whatever the pool size or domain scheduling:
 
     - the graph and the shared distance cache are frozen for the whole
       batch (the single-writer rule below) and every domain reads the
       same CSR adjacency snapshot;
-    - each worker owns a disjoint contiguous slice of the queries and a
-      private distance-cache shard, so the hot distance lookup takes no
-      lock; shards are folded back into the shared cache after every
+    - each worker builds a disjoint contiguous slice of the bodies with
+      a private distance-cache shard, so the hot distance lookup takes
+      no lock; shards are folded back into the shared cache after every
       worker has joined (BFS is deterministic, so duplicated entries
-      are identical);
-    - with [randomize] (default false), tie-breaks draw from a per-item
-      generator seeded from [(src, dst, epoch)] — [epoch] being the
-      graph generation — never from a stream shared across items.
+      are identical).
 
     {b Single-writer rule}: while a batch is in flight the store
     accepts no mutation — {!apply_event}, {!record_discovered_link},

@@ -61,7 +61,7 @@ let[@dumbnet.hot] neighbors t sw =
   | Some i -> t.nbr.(i)
   | None -> []
 
-let fn t sw = neighbors t sw
+let[@dumbnet.hot] fn t sw = neighbors t sw
 
 let degree t sw =
   match Hashtbl.find_opt t.index sw with

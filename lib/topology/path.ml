@@ -14,7 +14,7 @@ let[@dumbnet.hot] tags t = List.map snd t.hops
 
 let switches t = List.map fst t.hops
 
-let of_route ~adj ~src ~src_loc ~dst ~dst_loc route =
+let[@dumbnet.hot] of_route ~adj ~src ~src_loc ~dst ~dst_loc route =
   let rec build acc = function
     | [] -> None
     | [ last ] -> if last = dst_loc.sw then Some (List.rev ((last, dst_loc.port) :: acc)) else None

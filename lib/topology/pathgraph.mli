@@ -10,6 +10,10 @@
 open Types
 
 type t
+(** Immutable once built. Path graphs stamped from one {!body} share its
+    switch-level subgraph, so nothing may patch a served graph in place:
+    hosts route around failures with the [avoid] overlay of
+    {!find_route} and {!k_routes}. *)
 
 val generate :
   ?s:int ->
@@ -21,7 +25,9 @@ val generate :
   dst:host_id ->
   t option
 (** Builds the path graph between two attached hosts ([s] defaults to 2,
-    [eps] to 1). [None] if either host is detached or unreachable.
+    [eps] to 1). [None] if either host is detached or unreachable. The
+    {!body} of the hosts' two switches, then the {!stamp} of the hosts
+    on it: one code path.
 
     [dist], when given, supplies the BFS distance table for a given
     source switch in place of a fresh BFS — the controller passes its
@@ -37,6 +43,37 @@ val generate :
     ({!Routing.backup_route}); only a backup that cannot avoid the
     primary in under {!Routing.primary_penalty} hops runs the weighted
     Dijkstra over the whole fabric. *)
+
+(** {1 Body and stamp}
+
+    Without [rng], everything Algorithm 1 computes — the primary route,
+    the windows, the backup route and the induced subgraph — depends
+    only on the two switches the hosts attach to. Only the host ends of
+    the two paths are per host. A batch of queries builds one body per
+    switch pair and stamps every query on it. *)
+
+type body
+(** The switch-level part of a path graph: primary and backup routes
+    and the subgraph with its sorted wire edge list. Immutable. *)
+
+val body :
+  ?s:int ->
+  ?eps:int ->
+  ?rng:Dumbnet_util.Rng.t ->
+  ?dist:(from:switch_id -> Adjacency.distances) ->
+  Graph.t ->
+  src_sw:switch_id ->
+  dst_sw:switch_id ->
+  body option
+(** Algorithm 1 between two switches, with {!generate}'s parameters.
+    [None] if [dst_sw] is unreachable from [src_sw]. Raises
+    [Invalid_argument] if [s <= 0] or [eps < 0]. *)
+
+val stamp : Graph.t -> body -> src:host_id -> dst:host_id -> t option
+(** The path graph of two hosts on a body's switches: the primary and
+    backup routes tagged with the host ends, everything else shared with
+    the body. The graph must be the one the body was built on. [None] if
+    either host is detached or not attached to the body's switches. *)
 
 val src : t -> host_id
 
@@ -57,23 +94,14 @@ val switches : t -> Switch_set.t
 val contains_link : t -> Link_key.t -> bool
 
 val links : t -> Link_set.t
-(** The cable set of the subgraph {e as generated}. Unlike
-    {!contains_link} it is not affected by {!mark_link_down} /
-    {!mark_switch_down}: the controller's link → subscribed-pair
-    repair index keys on the generation-time set, so a failure notice
-    still finds every pair whose cached graph covered the link.
-    [merge] unions the sets; [of_wire] rebuilds from the wire edges. *)
+(** The subgraph's cable set: the controller's link → subscribed-pair
+    repair index keys on it. [merge] unions the sets; [of_wire]
+    rebuilds from the wire edges. *)
 
 val adjacency : t -> Path.adjacency
 
-val mark_link_down : t -> Link_key.t -> unit
-(** Patches the cached subgraph after a failure notification. Unknown
-    links are ignored. *)
-
-val mark_switch_down : t -> switch_id -> unit
-
 val find_route : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> Path.t option
-(** Best route currently available inside the (patched) subgraph,
+(** Best route currently available inside the subgraph,
     skipping links in [avoid] — the host's failed-link overlay. *)
 
 val k_routes : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> k:int -> Path.t list
@@ -104,6 +132,9 @@ type wire = {
 }
 
 val to_wire : t -> wire
+(** Constant time on a graph stamped from a {!body}, whose edge list is
+    sorted once with the body; a graph from {!of_wire} or {!merge} sorts
+    its own. *)
 
 val of_wire : wire -> t
 

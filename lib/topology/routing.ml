@@ -36,7 +36,7 @@ let bfs_distances adj ~from =
    [dist] reads a table (negative = unreachable), so the same walk runs
    over the closure BFS's Hashtbl and the controller's id-indexed
    arrays. *)
-let route_via_distances ?rng adj ~src ~dst dist =
+let[@dumbnet.hot] route_via_distances ?rng adj ~src ~dst dist =
   let d0 = dist src in
   if d0 < 0 then None
   else
@@ -94,7 +94,7 @@ let filtered_adjacency ~banned_nodes ~banned_edges adj =
 let shortest_route_avoiding ?rng ~banned_nodes ~banned_edges adj ~src ~dst =
   shortest_route ?rng (filtered_adjacency ~banned_nodes ~banned_edges adj) ~src ~dst
 
-let weighted_route ~weight adj ~src ~dst =
+let[@dumbnet.hot] weighted_route ~weight adj ~src ~dst =
   let module H = Dumbnet_util.Heap in
   let dist : (switch_id, float) Hashtbl.t = Hashtbl.create 64 in
   let prev : (switch_id, switch_id) Hashtbl.t = Hashtbl.create 64 in
@@ -143,7 +143,7 @@ let weighted_route ~weight adj ~src ~dst =
 
 let primary_penalty = 100
 
-let penalize route =
+let[@dumbnet.hot] penalize route =
   let rec pairs acc = function
     | [] | [ _ ] -> acc
     | a :: (b :: _ as rest) -> pairs ((a, b) :: acc) rest
@@ -158,7 +158,7 @@ let penalize route =
    penalized Dijkstra breaks ties FIFO, so while its frontier stays
    below [primary_penalty] it pops and relaxes in exactly the order of
    a BFS that skips the primary's cables (DESIGN.md §13). *)
-let backup_route snap ~primary ~src ~dst =
+let[@dumbnet.hot] backup_route snap ~primary ~src ~dst =
   match Adjacency.route_avoiding snap ~avoid:primary ~max_hops:primary_penalty ~src ~dst with
   | Adjacency.Route r -> Some r
   | Adjacency.Too_long | Adjacency.Unreachable ->

@@ -29,7 +29,7 @@ let[@dumbnet.hot] float t bound =
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
-let pick t = function
+let[@dumbnet.hot] pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | l -> List.nth l (int t (List.length l))
 

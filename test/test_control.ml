@@ -257,8 +257,7 @@ let test_store_patch_replay () =
    BFS tables; a fresh [Pathgraph.generate] (no [~dist]) re-runs BFS
    per query. Their wire forms must match exactly for every host pair —
    through failures, restores and newly discovered cables — or the
-   cache is serving stale routes. Both sides get the same rng seed so
-   tie-breaks can't differ for non-cache reasons. *)
+   cache is serving stale routes. *)
 let check_memoized_matches_fresh ~label store =
   let g = Topo_store.graph store in
   let hosts = Graph.host_ids g in
@@ -268,8 +267,8 @@ let check_memoized_matches_fresh ~label store =
       List.iter
         (fun dst ->
           if src <> dst then
-            let served = Topo_store.serve_path_graph ~rng:(Rng.create 42) store ~src ~dst in
-            let fresh = Pathgraph.generate ~rng:(Rng.create 42) g ~src ~dst in
+            let served = Topo_store.serve_path_graph store ~src ~dst in
+            let fresh = Pathgraph.generate g ~src ~dst in
             Alcotest.(check bool)
               (Printf.sprintf "%s: %d->%d" label src dst)
               true

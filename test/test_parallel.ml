@@ -100,50 +100,78 @@ let wire_forms results = Array.map (Option.map Pathgraph.to_wire) results
 (* Serve [pairs] from a fresh store over [jobs] domains and return the
    wire forms. A fresh store per call keeps cache state from leaking
    between runs — determinism must not depend on warm caches. *)
-let serve ~jobs ~randomize built pairs =
+let serve ~jobs built pairs =
   let store = Topo_store.create built.Builder.graph in
-  let serve_with pool = Topo_store.serve_path_graphs ~randomize ?pool store pairs in
+  let serve_with pool = Topo_store.serve_path_graphs ?pool store pairs in
   if jobs = 1 then wire_forms (serve_with None)
   else Pool.with_pool ~jobs (fun pool -> wire_forms (serve_with (Some pool)))
 
-let check_parallel_matches_sequential ~randomize built =
+let check_parallel_matches_sequential built =
   let pairs = all_pairs built.Builder.hosts in
-  let reference = serve ~jobs:1 ~randomize built pairs in
+  let reference = serve ~jobs:1 built pairs in
   List.iter
     (fun jobs ->
-      let got = serve ~jobs ~randomize built pairs in
-      check Alcotest.bool
-        (Printf.sprintf "jobs=%d matches sequential (randomize=%b)" jobs randomize)
-        true
-        (got = reference))
+      let got = serve ~jobs built pairs in
+      check Alcotest.bool (Printf.sprintf "jobs=%d matches sequential" jobs) true (got = reference))
     [ 2; 4 ]
 
-let test_fat_tree_parallel_matches () =
-  let built = Builder.fat_tree ~k:4 () in
-  check_parallel_matches_sequential ~randomize:false built;
-  check_parallel_matches_sequential ~randomize:true built
+let test_fat_tree_parallel_matches () = check_parallel_matches_sequential (Builder.fat_tree ~k:4 ())
 
 let jellyfish_prop =
-  QCheck.Test.make ~name:"parallel = sequential on random jellyfish" ~count:15
-    QCheck.(pair small_nat (bool))
-    (fun (seed, randomize) ->
+  QCheck.Test.make ~name:"parallel = sequential on random jellyfish" ~count:15 QCheck.small_nat
+    (fun seed ->
       let built =
         Builder.random_regular ~rng:(Rng.create (seed + 1)) ~switches:12 ~degree:4
           ~hosts_per_switch:1 ()
       in
       let pairs = all_pairs built.Builder.hosts in
-      let reference = serve ~jobs:1 ~randomize built pairs in
-      List.for_all (fun jobs -> serve ~jobs ~randomize built pairs = reference) [ 2; 4 ])
+      let reference = serve ~jobs:1 built pairs in
+      List.for_all (fun jobs -> serve ~jobs built pairs = reference) [ 2; 4 ])
 
-(* 20 back-to-back randomized parallel batches over live domains: the
-   digest must never move, whatever the scheduler did that iteration. *)
+(* A batch whose hosts sit on a few switches repeats each switch pair
+   many times, so most items are stamped on a body another item
+   built. Whatever the pool width, every item must read exactly as if
+   it had been asked alone. *)
+let repeated_switch_pairs_prop =
+  QCheck.Test.make ~name:"batch of repeated switch pairs = per-item serves" ~count:15
+    QCheck.(pair small_nat (int_range 2 4))
+    (fun (seed, n_switches) ->
+      let rng = Rng.create (seed + 1) in
+      let built =
+        Builder.random_regular ~rng ~switches:12 ~degree:4 ~hosts_per_switch:4 ()
+      in
+      let g = built.Builder.graph in
+      let switches = Array.of_list (Graph.switch_ids g) in
+      let chosen = Array.init n_switches (fun _ -> Rng.pick_array rng switches) in
+      let hosts =
+        Array.of_list
+          (List.filter
+             (fun h ->
+               match Graph.host_location g h with
+               | Some le -> Array.mem le.sw chosen
+               | None -> false)
+             built.Builder.hosts)
+      in
+      let pairs =
+        Array.init 200 (fun _ -> (Rng.pick_array rng hosts, Rng.pick_array rng hosts))
+      in
+      let store = Topo_store.create g in
+      let per_item =
+        Array.map
+          (fun (src, dst) -> Option.map Pathgraph.to_wire (Topo_store.serve_path_graph store ~src ~dst))
+          pairs
+      in
+      List.for_all (fun jobs -> serve ~jobs built pairs = per_item) [ 1; 2 ])
+
+(* 20 back-to-back parallel batches over live domains: the digest must
+   never move, whatever the scheduler did that iteration. *)
 let test_determinism_digest_smoke () =
   let built = Builder.fat_tree ~k:4 () in
   let pairs = all_pairs built.Builder.hosts in
   let digest_of forms = Digest.to_hex (Digest.string (Marshal.to_string forms [])) in
-  let reference = digest_of (serve ~jobs:1 ~randomize:true built pairs) in
+  let reference = digest_of (serve ~jobs:1 built pairs) in
   for i = 1 to 20 do
-    let d = digest_of (serve ~jobs:4 ~randomize:true built pairs) in
+    let d = digest_of (serve ~jobs:4 built pairs) in
     check Alcotest.string (Printf.sprintf "iteration %d digest" i) reference d
   done
 
@@ -178,6 +206,7 @@ let () =
           Alcotest.test_case "fat-tree parallel = sequential" `Quick
             test_fat_tree_parallel_matches;
           QCheck_alcotest.to_alcotest jellyfish_prop;
+          QCheck_alcotest.to_alcotest repeated_switch_pairs_prop;
           Alcotest.test_case "20x digest smoke" `Quick test_determinism_digest_smoke;
           Alcotest.test_case "in_batch bookkeeping" `Quick test_in_batch_flag;
         ] );

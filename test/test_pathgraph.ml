@@ -1,5 +1,6 @@
-(* Tests for Algorithm 1 path graphs: structure invariants, failure
-   patching, serialization, reversal, merging. *)
+(* Tests for Algorithm 1 path graphs: structure invariants, routing
+   around failed cables, serialization, reversal, merging, and the
+   switch-level body shared by host pairs on the same two switches. *)
 
 open Dumbnet.Topology
 open Dumbnet.Topology.Types
@@ -102,36 +103,6 @@ let test_find_route_after_failure () =
         Alcotest.(check bool) "avoids failed link" false (Path.crosses alt key);
         Alcotest.(check bool) "alt validates in graph" true (Path.validate g alt)))
   | [] -> Alcotest.fail "empty primary"
-
-let test_mark_link_down () =
-  let b = Builder.testbed () in
-  let g = b.Builder.graph in
-  let pg = gen g ~src:0 ~dst:20 in
-  let before = Pathgraph.link_count pg in
-  match (Pathgraph.primary pg).Path.hops with
-  | (sw, port) :: _ -> (
-    let le = { sw; port } in
-    match Graph.peer_port g le with
-    | None -> Alcotest.fail "no fabric link"
-    | Some other ->
-      let key = Link_key.make le other in
-      Alcotest.(check bool) "contains link" true (Pathgraph.contains_link pg key);
-      Pathgraph.mark_link_down pg key;
-      Alcotest.(check bool) "link removed" false (Pathgraph.contains_link pg key);
-      check Alcotest.int "one less link" (before - 1) (Pathgraph.link_count pg))
-  | [] -> Alcotest.fail "empty primary"
-
-let test_mark_switch_down () =
-  let b = Builder.testbed () in
-  let g = b.Builder.graph in
-  let pg = gen g ~src:0 ~dst:20 in
-  let spine = List.nth (Path.switches (Pathgraph.primary pg)) 1 in
-  Pathgraph.mark_switch_down pg spine;
-  Alcotest.(check bool) "switch gone" false (Switch_set.mem spine (Pathgraph.switches pg));
-  (* Routing still works through the other spine. *)
-  match Pathgraph.find_route pg with
-  | Some p -> Alcotest.(check bool) "route avoids dead switch" false (List.mem spine (Path.switches p))
-  | None -> Alcotest.fail "no route after switch removal"
 
 let test_k_routes () =
   let b = Builder.testbed () in
@@ -341,8 +312,7 @@ let test_backup_fallback_unreachable () =
 (* The bytes hosts receive for 256 seeded queries, pinned across
    changes to how the controller computes them: any edit to Algorithm 1,
    the distance tables or the backup search must leave these digests
-   alone. Every pool width serves the same bytes, with and without
-   randomized tie-breaks. *)
+   alone. Every pool width serves the same bytes. *)
 
 module Payload = Dumbnet.Packet.Payload
 module Topo_store = Dumbnet.Control.Topo_store
@@ -379,33 +349,104 @@ let golden_jellyfish () =
   | [] -> Alcotest.fail "jellyfish without cables");
   g
 
-let check_golden ~name ~randomized ~unrandomized g =
+let check_golden ~name ~expected g =
   let pairs = seeded_pairs g ~seed:2024 ~n:256 in
   List.iter
-    (fun (randomize, expected) ->
-      List.iter
-        (fun jobs ->
-          let store = Topo_store.create g in
-          let results =
-            if jobs = 1 then Topo_store.serve_path_graphs ~randomize store pairs
-            else
-              Pool.with_pool ~jobs (fun pool ->
-                  Topo_store.serve_path_graphs ~randomize ~pool store pairs)
-          in
-          check Alcotest.string
-            (Printf.sprintf "%s randomize=%b, jobs=%d" name randomize jobs)
-            expected (served_digest results))
-        [ 1; 2; 4 ])
-    [ (true, randomized); (false, unrandomized) ]
+    (fun jobs ->
+      let store = Topo_store.create g in
+      let results =
+        if jobs = 1 then Topo_store.serve_path_graphs store pairs
+        else Pool.with_pool ~jobs (fun pool -> Topo_store.serve_path_graphs ~pool store pairs)
+      in
+      check Alcotest.string (Printf.sprintf "%s, jobs=%d" name jobs) expected (served_digest results))
+    [ 1; 2; 4 ]
 
 let test_golden_fat_tree () =
-  check_golden ~name:"fat-tree k=8" ~randomized:"85d24b1d090193325df829075e186c4c"
-    ~unrandomized:"08697856610b225948009af4933d1f83" (golden_fat_tree ())
+  check_golden ~name:"fat-tree k=8" ~expected:"08697856610b225948009af4933d1f83" (golden_fat_tree ())
 
 let test_golden_jellyfish () =
-  check_golden ~name:"jellyfish-64, one cable down"
-    ~randomized:"de628096205d63e95db64d0b15dc4956"
-    ~unrandomized:"b98ac8af26ae96dd435549e17fd7ecac" (golden_jellyfish ())
+  check_golden ~name:"jellyfish-64, one cable down" ~expected:"b98ac8af26ae96dd435549e17fd7ecac"
+    (golden_jellyfish ())
+
+(* --- one body per switch pair --- *)
+
+(* A wire graph with everything per host blanked out: the host ids and
+   locations, and each path's hosts and last-hop port (the tag that
+   leaves the destination switch toward the host). *)
+let host_free (w : Pathgraph.wire) =
+  let blank (p : Path.t) =
+    let hops =
+      match List.rev p.Path.hops with
+      | (sw, _) :: rest -> List.rev ((sw, 0) :: rest)
+      | [] -> []
+    in
+    { Path.src = 0; hops; dst = 0 }
+  in
+  let nowhere = { sw = 0; port = 0 } in
+  {
+    w with
+    Pathgraph.w_src = 0;
+    w_dst = 0;
+    w_src_loc = nowhere;
+    w_dst_loc = nowhere;
+    w_primary = blank w.Pathgraph.w_primary;
+    w_backup = Option.map blank w.Pathgraph.w_backup;
+  }
+
+(* The last hop of every path leaves toward the destination host. *)
+let ends_at_host (w : Pathgraph.wire) =
+  let last_port (p : Path.t) =
+    match List.rev p.Path.hops with
+    | (_, port) :: _ -> port
+    | [] -> -1
+  in
+  last_port w.Pathgraph.w_primary = w.Pathgraph.w_dst_loc.port
+  && Option.fold ~none:true ~some:(fun p -> last_port p = w.Pathgraph.w_dst_loc.port)
+       w.Pathgraph.w_backup
+
+let hosts_by_switch g =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun h ->
+      match Graph.host_location g h with
+      | Some le -> Hashtbl.replace tbl le.sw (h :: Option.value (Hashtbl.find_opt tbl le.sw) ~default:[])
+      | None -> ())
+    (Graph.host_ids g);
+  Hashtbl.fold (fun sw hs acc -> if List.length hs >= 2 then (sw, Array.of_list hs) :: acc else acc) tbl []
+  |> List.sort compare |> Array.of_list
+
+let one_cable_down rng g =
+  let links = Array.of_list (Graph.switch_links g) in
+  let key, _ = links.(Rng.int rng (Array.length links)) in
+  Graph.set_link_state g (fst (Link_key.ends key)) ~up:false;
+  g
+
+(* Two host pairs on the same two switches, served in one batch (so
+   they share a body) and generated cold: the four wire graphs agree
+   on everything but the host ends. *)
+let shared_body_prop =
+  QCheck.Test.make ~name:"host pairs on one switch pair differ only at the host ends" ~count:40
+    QCheck.(pair bool (int_bound 100_000))
+    (fun (jelly, seed) ->
+      let rng = Rng.create seed in
+      let g =
+        if jelly then one_cable_down rng (Builder.jellyfish ~switches:32 ~hosts_per_switch:2 ()).Builder.graph
+        else (Builder.fat_tree ~k:4 ()).Builder.graph
+      in
+      let by_switch = hosts_by_switch g in
+      let _, at_a = Rng.pick_array rng by_switch and _, at_b = Rng.pick_array rng by_switch in
+      let p1 = (Rng.pick_array rng at_a, Rng.pick_array rng at_b) in
+      let p2 = (Rng.pick_array rng at_a, Rng.pick_array rng at_b) in
+      let served = Topo_store.serve_path_graphs (Topo_store.create g) [| p1; p2 |] in
+      let cold (src, dst) = Pathgraph.generate g ~src ~dst in
+      match (served, cold p1, cold p2) with
+      | [| Some s1; Some s2 |], Some c1, Some c2 ->
+        let w1 = Pathgraph.to_wire s1 and w2 = Pathgraph.to_wire s2 in
+        w1 = Pathgraph.to_wire c1
+        && w2 = Pathgraph.to_wire c2
+        && host_free w1 = host_free w2
+        && ends_at_host w1 && ends_at_host w2
+      | _ -> QCheck.Test.fail_report "a pair on a connected fabric got no path graph")
 
 (* --- golden digest of host-side k-routes --- *)
 
@@ -477,8 +518,6 @@ let () =
       ( "failover",
         [
           Alcotest.test_case "find route after failure" `Quick test_find_route_after_failure;
-          Alcotest.test_case "mark link down" `Quick test_mark_link_down;
-          Alcotest.test_case "mark switch down" `Quick test_mark_switch_down;
           Alcotest.test_case "k routes" `Quick test_k_routes;
         ] );
       ( "serialization",
@@ -505,4 +544,5 @@ let () =
           Alcotest.test_case "jellyfish-64 digest" `Quick test_golden_jellyfish;
           Alcotest.test_case "k-routes digest" `Quick test_golden_k_routes;
         ] );
+      ("shared body", [ QCheck_alcotest.to_alcotest shared_body_prop ]);
     ]
