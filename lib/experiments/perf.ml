@@ -79,8 +79,10 @@ let committed : (string * float) list =
     ("sim_hops_per_sec_jellyfish_64", 2095789.);
     ("sim_hops_per_sec_fat_tree_k8_shards1", 2130727.);
     ("codec_roundtrips_per_sec", 471884.);
-    ("pathgraph_batch_per_sec_fat_tree_k8_jobs1", 19338.);
-    ("pathgraph_batch_per_sec_jellyfish_64_jobs1", 21003.);
+    (* Batches grouped by switch pair (one Algorithm 1 body per pair):
+       median of 3 full runs. *)
+    ("pathgraph_batch_per_sec_fat_tree_k8_jobs1", 32940.);
+    ("pathgraph_batch_per_sec_jellyfish_64_jobs1", 33562.);
     ("failure_events_per_sec_fat_tree_k8_jobs1", 6.5);
     (* Drain-only rows (shards=1, best of >= 3 repetitions), one per
        topology, on the timing wheel. *)
