@@ -1,4 +1,4 @@
-.PHONY: all build test check lint callgraph fmt bench bench-perf bench-sim bench-scale bench-survivability perf-table perf-splice scale-table scale-splice diagnose clean
+.PHONY: all build test check lint callgraph fmt bench bench-perf bench-scale bench-survivability perf-table perf-splice scale-table scale-splice diagnose clean
 
 all: build
 
@@ -37,16 +37,6 @@ bench:
 # CI uses `-- perf --quick` with a loosened regression gate instead.
 bench-perf:
 	dune exec bench/main.exe -- perf
-
-# Sharded-engine shakeout: blast frames through the packet engine at
-# every shard width and print hop throughput plus the delivery digest —
-# the digest line must be identical on every run (determinism by
-# construction, DESIGN.md §12).
-bench-sim:
-	@for s in 1 2 4 8; do \
-		echo "== shards=$$s =="; \
-		dune exec bin/dumbnet_cli.exe -- hops -t fat-tree:8 --shards $$s --frames 20; \
-	done
 
 # Regenerate the perf tables and splice the generated BENCH_PERF.md
 # between the perf-table markers in README.md, so the README numbers

@@ -43,10 +43,8 @@ let list_experiments () =
 
 let () =
   (* Flags apply to the named experiments: --quick shrinks budgets and
-     arms the regression gates (perf and survivability), --jobs N
-     (or DUMBNET_JOBS) adds a pool width to perf's scaling curve, and
-     --shards N (or DUMBNET_SHARDS) adds a width to its sharded-engine
-     curve. *)
+     arms the regression gates (perf and survivability), and --jobs N
+     (or DUMBNET_JOBS) adds a pool width to perf's scaling curve. *)
   let rec strip_flags = function
     | [] -> []
     | "--quick" :: rest ->
@@ -56,9 +54,6 @@ let () =
       strip_flags rest
     | "--jobs" :: n :: rest when int_of_string_opt n <> None ->
       E.Perf.jobs_override := int_of_string_opt n;
-      strip_flags rest
-    | "--shards" :: n :: rest when int_of_string_opt n <> None ->
-      E.Perf.shards_override := int_of_string_opt n;
       strip_flags rest
     | arg :: rest -> arg :: strip_flags rest
   in

@@ -213,66 +213,25 @@ let simulate_cmd =
 
 (* --- hops subcommand --- *)
 
-module Sharded = Dumbnet.Sim.Sharded
+module Perf = Dumbnet_experiments.Perf
 
-let hops_run spec seed shards frames jobs =
+(* Every host bursts [frames] frames along one random source route; the
+   drain is the one `bench perf`'s net_drain rows time. *)
+let hops_run spec seed frames =
   with_topology spec seed (fun built ->
-      let g = built.Builder.graph in
-      let sim = Sharded.create ~shards ~graph:g () in
-      let rng = Dumbnet.Util.Rng.create (seed + 1) in
-      let hosts = Array.of_list built.Builder.hosts in
-      let n = Array.length hosts in
-      (* Every host bursts [frames] frames along one random source route,
-         lightly staggered so the scheduler sees realistic interleaving. *)
-      Array.iter
-        (fun src ->
-          let rec pick tries =
-            if tries = 0 then None
-            else
-              let dst = hosts.(Dumbnet.Util.Rng.int rng n) in
-              if dst = src then pick (tries - 1)
-              else
-                match Routing.host_route g ~src ~dst with
-                | Some p -> Some (dst, Path.tags p)
-                | None -> pick (tries - 1)
-          in
-          match pick 5 with
-          | None -> ()
-          | Some (dst, tags) ->
-            for i = 1 to frames do
-              Sharded.inject sim ~at_ns:(i * 1_000) ~src ~dst ~tags ()
-            done)
-        hosts;
-      let t0 = Unix.gettimeofday () in
-      (if shards > 1 && jobs > 1 then
-         Dumbnet.Util.Pool.with_pool ~jobs (fun pool -> Sharded.run ~pool sim)
-       else Sharded.run sim);
-      let dt = Unix.gettimeofday () -. t0 in
-      let part = Sharded.partition sim in
-      let st = Sharded.stats sim in
+      let routes = Perf.sim_routes ~seed:(seed + 1) built in
+      let eng, net, dt, _ = Perf.net_drain built routes ~frames_per_host:frames in
+      let st = Dumbnet.Sim.Network.stats net in
       Printf.printf
-        "shards:         %d (sizes: %s; cut cables: %d)\n\
-         lookahead:      %d ns\n\
-         injected:       %d\ndelivered:      %d\nswitch hops:    %d\n\
-         queue drops:    %d\ndataplane drops:%d\n\
-         digest:         %016x\nwall time:      %.3f s\nhops/sec:       %.0f\n"
-        (Sharded.shards sim)
-        (String.concat ", "
-           (Array.to_list (Array.map string_of_int part.Partition.sizes)))
-        (List.length part.Partition.cut)
-        (Sharded.lookahead_ns sim) (Sharded.injected sim) (Sharded.delivered sim)
-        (Sharded.hops sim) st.Dumbnet.Sim.Network.queue_drops
-        st.Dumbnet.Sim.Network.dataplane_drops (Sharded.digest sim) dt
-        (float_of_int (Sharded.hops sim) /. dt);
+        "host tx:        %d\nhost rx:        %d\nswitch hops:    %d\n\
+         queue drops:    %d\ndataplane drops:%d\nbytes delivered:%d\n\
+         events:         %d\nwall time:      %.3f s\nhops/sec:       %.0f\n"
+        st.Dumbnet.Sim.Network.host_tx st.host_rx st.switch_hops st.queue_drops
+        st.dataplane_drops st.bytes_delivered
+        (Dumbnet.Sim.Engine.events_processed eng)
+        dt
+        (float_of_int st.switch_hops /. dt);
       0)
-
-let shards_arg =
-  let doc =
-    "Engine shards: the topology is partitioned into N regions, each with its own \
-     timing wheel and frame pool (answers are byte-identical whatever N). Defaults to \
-     \\$(b,DUMBNET_SHARDS) or 1; 1 uses the single-wheel fast path."
-  in
-  Arg.(value & opt int (Sharded.default_shards ()) & info [ "shards" ] ~docv:"N" ~doc)
 
 let frames_arg =
   Arg.(
@@ -283,9 +242,9 @@ let hops_cmd =
   Cmd.v
     (Cmd.info "hops"
        ~doc:
-         "Blast source-routed frames through the sharded packet engine and report \
-          hop throughput, drop counters, and the delivery digest.")
-    Term.(const hops_run $ topo_arg $ seed_arg $ shards_arg $ frames_arg $ jobs_arg)
+         "Blast source-routed frames through the packet simulator and report its \
+          counters, events and hop throughput.")
+    Term.(const hops_run $ topo_arg $ seed_arg $ frames_arg)
 
 (* --- repair subcommand --- *)
 

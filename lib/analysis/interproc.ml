@@ -5,14 +5,13 @@
        toplevel Hashtbls/Arrays/Bytes/queues, records with mutable
        fields) may be reachable — transitively, through any chain of
        calls — from code that runs on a worker domain: a callback passed
-       to Pool.run_chunks/parallel_map/parallel_iter, or the sharded
-       engine's window-drain path. Exempt: Atomic.make slots (every
+       to Pool.run_chunks/parallel_map. Exempt: Atomic.make slots (every
        access is a fence), the in_batch-guarded Topo_store entry points
        (calling them from a worker raises instead of racing), and slots
        carrying [@dumbnet.shared "reason"].
    R9  hot-path inference: hotness propagates from the fabric's real
-       inner loops (Dataplane.handle, the Sharded drain, the Engine pop
-       loop, the Frame codecs) and from every [@dumbnet.hot] annotation
+       inner loops (Dataplane.handle, the Engine pop loop, the Frame
+       codecs) and from every [@dumbnet.hot] annotation
        across call edges. A reachable function missing the annotation
        is advice — the count is ratcheted in lint_ratchet.json and may
        only go down.
@@ -60,7 +59,7 @@ let r8 ~(config : Rules.config) ~waivers (g : Callgraph.t) =
           acc f.Summary.f_cb_refs)
       []
   in
-  let roots = List.sort_uniq String.compare (roots @ config.Rules.parallel_roots) in
+  let roots = List.sort_uniq String.compare roots in
   let guarded id = List.mem id config.Rules.guarded_fns in
   let seen, parent =
     Callgraph.reachable g ~roots ~enter:(fun id -> not (guarded id)) ()

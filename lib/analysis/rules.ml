@@ -61,7 +61,6 @@ type config = {
   max_waivers : int; (* W2: repo-wide waiver budget *)
   (* interprocedural pass (R8–R10, see Interproc) *)
   parallel_registrars : string list; (* R8: Pool entry points taking callbacks *)
-  parallel_roots : string list; (* R8: fn ids that run on worker domains *)
   guarded_fns : string list; (* R8: single-writer guarded entry points *)
   hot_roots : string list; (* R9: fn ids hotness propagates from *)
 }
@@ -76,8 +75,7 @@ let default_config =
     result_fn_suffixes = [ "_result" ];
     domain_pool_files = [ "lib/util/pool.ml" ];
     max_waivers = 5;
-    parallel_registrars = [ "run_chunks"; "parallel_map"; "parallel_iter" ];
-    parallel_roots = [ "Sharded.drain" ];
+    parallel_registrars = [ "run_chunks"; "parallel_map" ];
     guarded_fns =
       [
         (* Topo_store entry points that raise while [in_batch] is set:
@@ -91,14 +89,10 @@ let default_config =
     hot_roots =
       [
         "Dataplane.handle";
-        "Sharded.run";
         "Engine.run";
         "Frame.to_bytes";
         "Frame.of_bytes";
         "Frame.write";
-        "Wheel.push";
-        "Wheel.min_ready";
-        "Wheel.pop";
       ];
   }
 

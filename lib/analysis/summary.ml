@@ -98,7 +98,7 @@ type ctx = {
   cfg : Rules.config;
   file : string;
   modname : string;
-  mutable prefix : string; (* current module path, e.g. "Sharded" or "Sharded.M" *)
+  mutable prefix : string; (* current module path, e.g. "Network" or "Network.M" *)
   mutable aliases : (string * string) list; (* alias -> resolved module path *)
   mutable toplevel_names : (string, unit) Hashtbl.t;
   mutable slots : slot list;

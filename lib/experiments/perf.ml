@@ -13,7 +13,6 @@ open Dumbnet_topology
 open Dumbnet_packet
 module Engine = Dumbnet_sim.Engine
 module Network = Dumbnet_sim.Network
-module Sharded = Dumbnet_sim.Sharded
 module Topo_store = Dumbnet_control.Topo_store
 module Rng = Dumbnet_util.Rng
 module Pool = Dumbnet_util.Pool
@@ -30,15 +29,6 @@ let requested_jobs () =
   | Some j -> max 1 j
   | None -> Pool.default_jobs ()
 
-(* `bench --shards N` / DUMBNET_SHARDS: an extra width appended to the
-   sharded-engine scaling curve. *)
-let shards_override : int option ref = ref None
-
-let requested_shards () =
-  match !shards_override with
-  | Some s -> max 1 s
-  | None -> Sharded.default_shards ()
-
 let json_path = "BENCH_PERF.json"
 
 let md_path = "BENCH_PERF.md"
@@ -53,11 +43,6 @@ let before : (string * float) list =
   [
     ("pathgraph_per_sec_fat_tree_k8", 3596.);
     ("pathgraph_per_sec_jellyfish_64", 6232.);
-    ("sim_hops_per_sec_fat_tree_k8", 596190.);
-    (* Measured on the classic single-heap engine at the commit before
-       the sharded rewrite (PR 7) — the jellyfish row had no earlier
-       incarnation. *)
-    ("sim_hops_per_sec_jellyfish_64", 0.);
     ("codec_roundtrips_per_sec", 348075.);
   ]
 
@@ -71,24 +56,12 @@ let committed : (string * float) list =
   [
     ("pathgraph_per_sec_fat_tree_k8", 68137.);
     ("pathgraph_per_sec_jellyfish_64", 74133.);
-    (* Sharded-engine rewrite (PR 7): the shards=1 fast path must stay
-       ahead of both the classic engine's last committed number and its
-       own first measurement. The _shards1 row is the scaling curve's
-       gated entry; wider rows are reported, not gated. *)
-    ("sim_hops_per_sec_fat_tree_k8", 2060672.);
-    ("sim_hops_per_sec_jellyfish_64", 2095789.);
-    ("sim_hops_per_sec_fat_tree_k8_shards1", 2130727.);
     ("codec_roundtrips_per_sec", 471884.);
     (* Batches grouped by switch pair (one Algorithm 1 body per pair):
        median of 3 full runs. *)
     ("pathgraph_batch_per_sec_fat_tree_k8_jobs1", 32940.);
     ("pathgraph_batch_per_sec_jellyfish_64_jobs1", 33562.);
     ("failure_events_per_sec_fat_tree_k8_jobs1", 6.5);
-    (* Drain-only rows (shards=1, best of >= 3 repetitions), one per
-       topology, on the timing wheel. *)
-    ("sim_drain_hops_per_sec_fat_tree_k8", 7414266.);
-    ("sim_drain_hops_per_sec_jellyfish_64", 6685703.);
-    ("sim_drain_hops_per_sec_jellyfish_1024", 2895283.);
     (* The same frame set drained through Engine + Network (best of >= 3
        repetitions; median of 3 runs), measured with the int-lane heap. *)
     ("net_drain_hops_per_sec_fat_tree_k8", 2111827.);
@@ -306,14 +279,13 @@ let failure_convergence_bench built =
 
 (* --- simulated hops/sec ---------------------------------------------- *)
 
-(* Every host fires a burst of data frames along a precomputed source
-   route; we charge the wall-clock cost of draining the event queue to
-   the switch hops it performed. Since PR 7 the workload runs on the
-   sharded engine ([Dumbnet_sim.Sharded]); shards=1 is its single-wheel
-   fast path and the row every earlier PR's number compares against. *)
-let sim_routes built =
+(* Every host fires a burst of data frames along one source route to a
+   destination drawn from [seed]'s stream (five tries to find a routable
+   one); we charge the wall-clock cost of draining the event queue to the
+   switch hops it performed. *)
+let sim_routes ?(seed = 11) built =
   let g = built.Builder.graph in
-  let rng = Rng.create 11 in
+  let rng = Rng.create seed in
   let hosts = Array.of_list built.Builder.hosts in
   let n = Array.length hosts in
   Array.to_list hosts
@@ -330,93 +302,17 @@ let sim_routes built =
          in
          pick_dst 5)
 
-let sharded_run_hops ?pool ~shards built routes ~frames_per_host =
-  let sim = Sharded.create ~shards ~graph:built.Builder.graph () in
-  List.iter
-    (fun (src, dst, tags) ->
-      for _ = 1 to frames_per_host do
-        Sharded.inject sim ~at_ns:0 ~src ~dst ~tags ()
-      done)
-    routes;
-  Sharded.run ?pool sim;
-  Sharded.hops sim
-
-let sim_hops_bench ?pool ?(shards = 1) ~name built ~frames_per_host =
-  let routes = sim_routes built in
-  ignore (sharded_run_hops ?pool ~shards built routes ~frames_per_host);
-  (* Best-of-repetition, each repetition setup-inclusive (create +
-     inject + run): the shards>1 sequential-emulation rows sit within
-     ~10% of shards=1, so a mean over the budget is hostage to
-     transient host load and the 0.9x quick gate would flap. Taking
-     the best repetition discards downward noise while keeping the
-     historical setup-inclusive semantics of these rows. *)
-  let best = ref 0. in
-  let t0 = Unix.gettimeofday () in
-  let elapsed = ref 0. in
-  let runs = ref 0 in
-  while !runs < 3 || !elapsed < budget_s () do
-    let r0 = Unix.gettimeofday () in
-    let hops = sharded_run_hops ?pool ~shards built routes ~frames_per_host in
-    let r1 = Unix.gettimeofday () in
-    let ops = float_of_int hops /. (r1 -. r0) in
-    if ops > !best then best := ops;
-    incr runs;
-    elapsed := r1 -. t0
-  done;
-  (name, !best)
-
-(* --- drain-only hops/sec ------------------------------------------------ *)
-
-let drain_metric_name topo = Printf.sprintf "sim_drain_hops_per_sec_%s" topo
-
-(* Unlike the legacy sim rows (which keep their original
-   setup-inclusive methodology so the trajectory stays comparable),
-   these rows time the drain alone at shards=1: graph partitioning,
-   route precompute and injection stay off the clock, so the row is the
-   per-hop cost of the wheel and the forwarding loop. Each repetition
-   is a fresh simulation; the row is the best repetition — a transient
-   stall slows one repetition, not the machine's actual per-hop cost. *)
-let sim_drain_bench built routes ~frames_per_host =
-  let best = ref 0. in
-  let t0 = Unix.gettimeofday () in
-  let elapsed = ref 0. in
-  let runs = ref 0 in
-  while !runs < 3 || !elapsed < budget_s () do
-    let sim = Sharded.create ~shards:1 ~graph:built.Builder.graph () in
-    List.iter
-      (fun (src, dst, tags) ->
-        for _ = 1 to frames_per_host do
-          Sharded.inject sim ~at_ns:0 ~src ~dst ~tags ()
-        done)
-      routes;
-    let r0 = Unix.gettimeofday () in
-    Sharded.run sim;
-    let r1 = Unix.gettimeofday () in
-    let ops = float_of_int (Sharded.hops sim) /. (r1 -. r0) in
-    if ops > !best then best := ops;
-    incr runs;
-    elapsed := r1 -. t0
-  done;
-  !best
-
-let drain_rows topos =
-  List.map
-    (fun (topo, built, frames_per_host) ->
-      let ops = sim_drain_bench built (sim_routes built) ~frames_per_host in
-      (drain_metric_name topo, topo, ops))
-    topos
-
 (* --- Engine + Network drain hops/sec ------------------------------------- *)
 
 let net_drain_metric_name topo = Printf.sprintf "net_drain_hops_per_sec_%s" topo
 
-(* The drain rows' frame set through the simulator every paper figure
+(* One drain of that frame set through the simulator every paper figure
    and fabbench workload runs on: Engine + Network. Each host hands its
    frames to [Network.host_send] off the clock (NIC pacing schedules
-   them); the row times [Engine.run] to quiescence and reads the minor
-   words it allocated per switch hop. Best repetition, like the drain
-   rows; the words figure is deterministic. *)
-let net_drain_once built routes ~frames_per_host =
+   them); only [Engine.run] to quiescence is timed. Returns the engine,
+   the network, the drain's wall seconds and the minor words it
+   allocated. `dumbnet hops` prints one such drain. *)
+let net_drain built routes ~frames_per_host =
   let eng = Engine.create () in
   let net = Network.create ~engine:eng ~graph:built.Builder.graph () in
   List.iter
@@ -432,8 +328,14 @@ let net_drain_once built routes ~frames_per_host =
   Engine.run eng;
   let r1 = Unix.gettimeofday () in
   let w1 = Gc.minor_words () in
+  (eng, net, r1 -. r0, w1 -. w0)
+
+(* Hops/s and minor words per hop of one drain. A row keeps its best
+   repetition; the words figure is deterministic. *)
+let net_drain_once built routes ~frames_per_host =
+  let _, net, wall_s, words = net_drain built routes ~frames_per_host in
   let hops = max 1 (Network.stats net).Network.switch_hops in
-  (float_of_int hops /. (r1 -. r0), (w1 -. w0) /. float_of_int hops)
+  (float_of_int hops /. wall_s, words /. float_of_int hops)
 
 let net_drain_bench built routes ~frames_per_host =
   let best = ref 0. and words = ref 0. in
@@ -455,100 +357,6 @@ let net_drain_rows topos =
       let ops, words = net_drain_bench built (sim_routes built) ~frames_per_host in
       (net_drain_metric_name topo, topo, ops, words))
     topos
-
-(* The sharded-engine scaling curve: shards 1/2/4/8 plus whatever
-   --shards/DUMBNET_SHARDS asks for, each run over min(shards, jobs)
-   domains. Every row reproduces the shards=1 stream byte-identically
-   (the determinism contract), so rows differ only in wall-clock. *)
-let shards_curve () = List.sort_uniq compare [ 1; 2; 4; 8; requested_shards () ]
-
-let sim_metric_name topo shards = Printf.sprintf "sim_hops_per_sec_%s_shards%d" topo shards
-
-(* How a row actually ran. On a box whose recommended domain count is 1
-   (CI smoke containers), a shards>1 row still partitions and windows
-   the event stream but drains every shard on the one core — that is a
-   correctness exercise, not a speedup measurement, and the row says
-   so instead of reading as "sharding got slower". *)
-let sim_row_mode ~shards ~jobs =
-  if shards = 1 then "single"
-  else if jobs > 1 then "parallel"
-  else "sequential-emulation"
-
-let sim_scaling_row ~topo built shards ops =
-  let name = sim_metric_name topo shards in
-  let jobs = min shards (requested_jobs ()) in
-  let cut = List.length (Partition.compute built.Builder.graph ~shards).Partition.cut in
-  (name, shards, ops, cut, sim_row_mode ~shards ~jobs)
-
-let sim_scaling_curve ~topo built ~frames_per_host =
-  let widths = Array.of_list (shards_curve ()) in
-  let n = Array.length widths in
-  if Array.for_all (fun shards -> min shards (requested_jobs ()) = 1) widths then begin
-    (* Sequential rows (the gated ones): interleave the widths
-       round-robin, one setup-inclusive timed run each per round, best
-       round kept per width. Measuring a whole row's budget in one
-       block lets a transient load swing hit only that row's ratio —
-       observed flipping the shards=8/shards=1 ratio between 0.85x and
-       1.1x run to run — whereas interleaved rounds see the same
-       conditions across widths. *)
-    let routes = sim_routes built in
-    let best = Array.make n 0. in
-    ignore (sharded_run_hops ~shards:widths.(0) built routes ~frames_per_host);
-    let t0 = Unix.gettimeofday () in
-    let rounds = ref 0 in
-    let elapsed = ref 0. in
-    let total_budget = budget_s () *. float_of_int n in
-    while !rounds < 3 || !elapsed < total_budget do
-      Array.iteri
-        (fun i shards ->
-          let r0 = Unix.gettimeofday () in
-          let hops = sharded_run_hops ~shards built routes ~frames_per_host in
-          let r1 = Unix.gettimeofday () in
-          let ops = float_of_int hops /. (r1 -. r0) in
-          if ops > best.(i) then best.(i) <- ops)
-        widths;
-      incr rounds;
-      elapsed := Unix.gettimeofday () -. t0
-    done;
-    Array.to_list
-      (Array.mapi
-         (fun i shards -> sim_scaling_row ~topo built shards best.(i))
-         widths)
-  end
-  else
-    (* Parallel rows need a domain pool per width; they measure the
-       host's cores and stay ungated, so per-row budgets are fine. *)
-    Array.to_list
-      (Array.map
-         (fun shards ->
-           let jobs = min shards (requested_jobs ()) in
-           let _, ops =
-             if jobs > 1 then
-               Pool.with_pool ~jobs (fun pool ->
-                   sim_hops_bench ~pool ~shards ~name:(sim_metric_name topo shards) built
-                     ~frames_per_host)
-             else sim_hops_bench ~shards ~name:(sim_metric_name topo shards) built ~frames_per_host
-           in
-           sim_scaling_row ~topo built shards ops)
-         widths)
-
-(* Gc.minor_words across one full drain of the shards=1 fast path,
-   divided by the hops it performed: the zero-allocation contract of
-   the frame pool + timing wheel. Injection happens before the first
-   counter read, so only the steady-state loop is on the meter. *)
-let minor_words_bench built ~frames_per_host =
-  let routes = sim_routes built in
-  let sim = Sharded.create ~shards:1 ~graph:built.Builder.graph () in
-  List.iter
-    (fun (src, dst, tags) ->
-      for _ = 1 to frames_per_host do
-        Sharded.inject sim ~at_ns:0 ~src ~dst ~tags ()
-      done)
-    routes;
-  let w0 = Gc.minor_words () in
-  Sharded.run sim;
-  let w1 = Gc.minor_words () in
-  (w1 -. w0) /. float_of_int (max 1 (Sharded.hops sim))
 
 (* --- codec round-trips/sec ------------------------------------------- *)
 
@@ -577,7 +385,7 @@ let jobs1_ops rows =
   | Some (_, _, ops) -> ops
   | None -> 0.
 
-let write_json ~max_regression results scaling sim_scaling drain net_drain ~minor_words conv =
+let write_json ~max_regression results scaling net_drain conv =
   let oc = open_out json_path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -586,8 +394,6 @@ let write_json ~max_regression results scaling sim_scaling drain net_drain ~mino
   p "    \"max_regression\": %.2f,\n" max_regression;
   p "    \"jobs_curve\": [%s],\n"
     (String.concat ", " (List.map string_of_int (jobs_curve ())));
-  p "    \"shards_curve\": [%s],\n"
-    (String.concat ", " (List.map string_of_int (shards_curve ())));
   p "    \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ());
   p "    \"topologies\": [\"fat_tree_k8\", \"jellyfish_64\", \"jellyfish_1024\"]\n";
   p "  },\n";
@@ -635,36 +441,6 @@ let write_json ~max_regression results scaling sim_scaling drain net_drain ~mino
   in
   srows all_rows;
   p "  ],\n";
-  p "  \"sim_scaling\": [\n";
-  let base_shards1 =
-    match List.find_opt (fun (_, shards, _, _, _) -> shards = 1) sim_scaling with
-    | Some (_, _, ops, _, _) -> ops
-    | None -> 0.
-  in
-  let rec simrows = function
-    | [] -> ()
-    | (name, shards, ops, cut, mode) :: rest ->
-      p "    {\"name\": \"%s\", \"shards\": %d, \"mode\": \"%s\", \"ops_per_sec\": %.1f, \
-         \"speedup_vs_shards1\": %.2f, \"cut_cables\": %d}%s\n"
-        name shards mode ops
-        (if base_shards1 > 0. then ops /. base_shards1 else 0.)
-        cut
-        (if rest = [] then "" else ",");
-      simrows rest
-  in
-  simrows sim_scaling;
-  p "  ],\n";
-  p "  \"sim_drain\": [\n";
-  let rec drows = function
-    | [] -> ()
-    | (name, topo, ops) :: rest ->
-      p "    {\"name\": \"%s\", \"topology\": \"%s\", \"ops_per_sec\": %.1f}%s\n" name topo
-        ops
-        (if rest = [] then "" else ",");
-      drows rest
-  in
-  drows drain;
-  p "  ],\n";
   p "  \"net_drain\": [\n";
   let rec nrows = function
     | [] -> ()
@@ -678,7 +454,6 @@ let write_json ~max_regression results scaling sim_scaling drain net_drain ~mino
   in
   nrows net_drain;
   p "  ],\n";
-  p "  \"minor_words_per_hop\": %.4f,\n" minor_words;
   p "  \"failure_convergence\": {\n";
   p "    \"topology\": \"fat_tree_k8\",\n";
   p "    \"jobs\": 1,\n";
@@ -717,8 +492,6 @@ let thousands f =
 let display_label = function
   | "pathgraph_per_sec_fat_tree_k8" -> "path graphs/sec, fat tree k=8"
   | "pathgraph_per_sec_jellyfish_64" -> "path graphs/sec, Jellyfish 64"
-  | "sim_hops_per_sec_fat_tree_k8" -> "simulated switch hops/sec, fat tree k=8"
-  | "sim_hops_per_sec_jellyfish_64" -> "simulated switch hops/sec, Jellyfish 64"
   | "codec_roundtrips_per_sec" -> "frame codec round-trips/sec"
   | s -> s
 
@@ -728,7 +501,7 @@ let topo_display = function
   | "jellyfish_1024" -> "Jellyfish 1024"
   | s -> s
 
-let write_markdown results sim_scaling drain net_drain ~minor_words =
+let write_markdown results net_drain =
   let oc = open_out md_path in
   let p fmt = Printf.fprintf oc fmt in
   p "| metric | before (ops/s) | after (ops/s) | speedup |\n";
@@ -742,30 +515,9 @@ let write_markdown results sim_scaling drain net_drain ~minor_words =
         (if b > 0. then Printf.sprintf "%.1fx" (ops /. b) else "—"))
     results;
   p "\n";
-  p "Sharded engine scaling (fat tree k=8, conservative-lookahead windows,\n";
-  p "%.2f minor words/hop at shards=1 — gate ≤ 1.0):\n" minor_words;
-  p "\n";
-  p "| shards | mode | cut cables | sim hops/s | vs shards=1 |\n";
-  p "|---:|---|---:|---:|---:|\n";
-  let base =
-    match List.find_opt (fun (_, shards, _, _, _) -> shards = 1) sim_scaling with
-    | Some (_, _, ops, _, _) -> ops
-    | None -> 0.
-  in
-  List.iter
-    (fun (_, shards, ops, cut, mode) ->
-      p "| %d | %s | %d | %s | %s |\n" shards mode cut (thousands ops)
-        (if base > 0. then Printf.sprintf "%.2fx" (ops /. base) else "—"))
-    sim_scaling;
-  p "\n";
-  p "Drain-only forwarding loop (shards=1, timing wheel):\n";
-  p "\n";
-  p "| topology | sim hops/s |\n";
-  p "|---|---:|\n";
-  List.iter (fun (_, topo, ops) -> p "| %s | %s |\n" (topo_display topo) (thousands ops)) drain;
-  p "\n";
-  p "The same frames drained through Engine + Network, the simulator every\n";
-  p "figure and fabbench workload runs on (before: closure-lane heap):\n";
+  p "Simulated switch hops/sec: every host's burst drained through Engine +\n";
+  p "Network, the simulator every figure and fabbench workload runs on\n";
+  p "(before: closure-lane heap):\n";
   p "\n";
   p "| topology | before (hops/s) | after (hops/s) | speedup | minor words/hop |\n";
   p "|---|---:|---:|---:|---:|\n";
@@ -789,19 +541,8 @@ let run () =
     [
       pathgraph_bench ~name:"pathgraph_per_sec_fat_tree_k8" ft8;
       pathgraph_bench ~name:"pathgraph_per_sec_jellyfish_64" jelly;
-      sim_hops_bench ~name:"sim_hops_per_sec_fat_tree_k8" ft8 ~frames_per_host:20;
-      sim_hops_bench ~name:"sim_hops_per_sec_jellyfish_64" jelly ~frames_per_host:20;
       codec_bench ~name:"codec_roundtrips_per_sec";
     ]
-  in
-  let sim_scaling = sim_scaling_curve ~topo:"fat_tree_k8" ft8 ~frames_per_host:20 in
-  let drain =
-    drain_rows
-      [
-        ("fat_tree_k8", ft8, 20);
-        ("jellyfish_64", jelly, 20);
-        ("jellyfish_1024", Builder.jellyfish ~switches:1024 (), 8);
-      ]
   in
   let net_drain =
     net_drain_rows
@@ -811,7 +552,6 @@ let run () =
         ("jellyfish_1024", Builder.jellyfish ~switches:1024 (), 8);
       ]
   in
-  let minor_words = minor_words_bench ft8 ~frames_per_host:20 in
   let scaling =
     [
       ("fat_tree_k8", batch_curve ~topo:"fat_tree_k8" ft8);
@@ -830,32 +570,7 @@ let run () =
            (if b > 0. then Printf.sprintf "%.2fx" (ops /. b) else "-");
          ])
        results);
-  Report.note
-    (Printf.sprintf
-       "sharded engine, fat_tree_k8 (conservative-lookahead windows over min(shards, \
-        jobs) domains; %.2f minor words/hop at shards=1):"
-       minor_words);
-  Report.table
-    ~headers:[ "shards"; "mode"; "cut cables"; "sim hops/s"; "vs shards=1" ]
-    (let base =
-       match List.find_opt (fun (_, shards, _, _, _) -> shards = 1) sim_scaling with
-       | Some (_, _, ops, _, _) -> ops
-       | None -> 0.
-     in
-     List.map
-       (fun (_, shards, ops, cut, mode) ->
-         [
-           string_of_int shards;
-           mode;
-           string_of_int cut;
-           Printf.sprintf "%.0f" ops;
-           (if base > 0. then Printf.sprintf "%.2fx" (ops /. base) else "-");
-         ])
-       sim_scaling);
-  Report.note "drain-only forwarding loop (shards=1, timing wheel):";
-  Report.table ~headers:[ "topology"; "sim hops/s" ]
-    (List.map (fun (_, topo, ops) -> [ topo; Printf.sprintf "%.0f" ops ]) drain);
-  Report.note "the same frames through Engine + Network:";
+  Report.note "simulated switch hops, every host's burst drained through Engine + Network:";
   Report.table
     ~headers:[ "topology"; "before hops/s"; "now hops/s"; "minor words/hop" ]
     (List.map
@@ -907,12 +622,12 @@ let run () =
       [ "regen phase/event"; Printf.sprintf "%.2f ms" conv.conv_regen_ms_per_event ];
       [ "push phase/event"; Printf.sprintf "%.2f ms" conv.conv_push_ms_per_event ];
     ];
-  write_json ~max_regression results scaling sim_scaling drain net_drain ~minor_words conv;
-  write_markdown results sim_scaling drain net_drain ~minor_words;
+  write_json ~max_regression results scaling net_drain conv;
+  write_markdown results net_drain;
   Report.note (Printf.sprintf "wrote %s and %s" json_path md_path);
   if !quick then begin
-    (* Gate the sequential metrics plus the scheduling-free jobs=1 /
-       shards=1 rows; wider rows depend on the host's core count. *)
+    (* Gate the sequential metrics plus the scheduling-free jobs=1 rows;
+       wider rows depend on the host's core count. *)
     let gated =
       results
       @ List.filter_map
@@ -920,22 +635,9 @@ let run () =
             List.find_opt (fun (_, jobs, _) -> jobs = 1) curve
             |> Option.map (fun (name, _, ops) -> (name, ops)))
           scaling
-      @ List.filter_map
-          (fun (name, shards, ops, _, _) -> if shards = 1 then Some (name, ops) else None)
-          sim_scaling
-      @ List.map (fun (name, _, ops) -> (name, ops)) drain
       @ List.map (fun (name, _, ops, _) -> (name, ops)) net_drain
       @ [ ("failure_events_per_sec_fat_tree_k8_jobs1", conv.conv_events_per_sec) ]
     in
-    (* The frame pool's whole point: the steady-state hop loop must not
-       allocate. One word per hop of slack covers pool and wheel doublings. *)
-    if minor_words > 1.0 then begin
-      Printf.printf
-        "PERF REGRESSION: %.2f minor words per hop in the shards=1 forwarding loop \
-         (budget 1.0) — the zero-allocation contract broke\n"
-        minor_words;
-      exit 1
-    end;
     (* The Engine + Network hop allocates a fixed handful of blocks; a
        higher figure means a per-hop closure or option crept back. *)
     List.iter
@@ -947,26 +649,6 @@ let run () =
           exit 1
         end)
       net_drain;
-    (* A shards>1 row drained sequentially still pays partitioning and
-       windowing but skips the mailbox serialization (frames transfer
-       pool-to-pool); anything below 0.9x of shards=1 means that
-       overhead crept back. Parallel rows measure the host's cores, not
-       the code, and stay ungated. *)
-    List.iter
-      (fun (name, _, ops, _, mode) ->
-        let base =
-          match List.find_opt (fun (_, shards, _, _, _) -> shards = 1) sim_scaling with
-          | Some (_, _, b, _, _) -> b
-          | None -> 0.
-        in
-        if mode = "sequential-emulation" && base > 0. && ops < 0.9 *. base then begin
-          Printf.printf
-            "PERF REGRESSION: %s (sequential emulation) at %.0f hops/s, %.2fx of the \
-             shards=1 row (floor 0.90x)\n"
-            name ops (ops /. base);
-          exit 1
-        end)
-      sim_scaling;
     (* The point of incremental repair: a single-cable failure must
        avoid recomputing the overwhelming share of pushed path graphs.
        Anything under 5x means the subscription index has degraded

@@ -157,10 +157,3 @@ let parallel_map t ~f input =
         pieces.(worker) <- Array.init (hi - lo) (fun i -> f ~worker input.(lo + i)));
     Array.concat (Array.to_list pieces)
   end
-
-let parallel_iter t ~f input =
-  let n = Array.length input in
-  run_chunks t ~n (fun ~worker ~lo ~hi ->
-      for i = lo to hi - 1 do
-        f ~worker input.(i)
-      done)

@@ -74,5 +74,3 @@ val parallel_map : t -> f:(worker:int -> 'a -> 'b) -> 'a array -> 'b array
     chunk on its owning worker, and the results are stitched back in
     index order — the output is independent of [jobs] whenever [f] is.
     [worker] identifies the executing slot for shard indexing. *)
-
-val parallel_iter : t -> f:(worker:int -> 'a -> unit) -> 'a array -> unit

@@ -321,13 +321,18 @@ let gen_damaged_payload =
 
 let decode_total_prop =
   (* Fuzz: arbitrary or damaged bytes either parse or raise Truncated —
-     decoders never escape with any other exception. *)
+     decoders never escape with any other exception. The probe-program
+     and INT-stamp readers get the same bytes on their own, not only
+     inside a frame. *)
   QCheck.Test.make ~name:"decoders are total on garbage" ~count:1000
     (QCheck.make QCheck.Gen.(oneof [ string_size (0 -- 200); gen_damaged_payload ]))
     (fun s ->
       let b = Bytes.of_string s in
       let ok f = match f b with _ -> true | exception Wire.Truncated -> true in
+      let read f b = f (Wire.Reader.of_bytes b) in
       ok Payload.decode && ok Frame.of_bytes
+      && ok (read Probe_prog.read)
+      && ok (read Int_stamp.read)
       &&
       match Mpls.decode b with
       | Some _ | None -> true)
