@@ -43,13 +43,15 @@ bench-perf:
 # can never drift from BENCH_PERF.json again.
 perf-table: bench-perf perf-splice
 
-# The splice alone, from the committed BENCH_PERF.md — deterministic,
+# The splice alone, from the committed BENCH_<NAME>.md — deterministic,
 # so CI can re-run it and fail on a stale README block without the
-# bench's run-to-run noise.
-perf-splice:
-	awk 'BEGIN { while ((getline line < "BENCH_PERF.md") > 0) tbl = tbl line "\n" } \
-	     /<!-- perf-table:begin -->/ { print; printf "%s", tbl; skip = 1; next } \
-	     /<!-- perf-table:end -->/ { skip = 0 } \
+# bench's run-to-run noise. perf-splice puts BENCH_PERF.md between the
+# perf-table markers, scale-splice BENCH_SCALE.md between the
+# scale-table markers.
+perf-splice scale-splice: %-splice:
+	awk 'BEGIN { while ((getline line < "BENCH_$(shell echo $* | tr a-z A-Z).md") > 0) tbl = tbl line "\n" } \
+	     /<!-- $*-table:begin -->/ { print; printf "%s", tbl; skip = 1; next } \
+	     /<!-- $*-table:end -->/ { skip = 0 } \
 	     !skip { print }' README.md > README.md.tmp && mv README.md.tmp README.md
 
 # Mega-fabric scaling curve of the controller's path service and push
@@ -65,12 +67,6 @@ bench-scale:
 # between the scale-table markers in README.md — same contract as
 # perf-table.
 scale-table: bench-scale scale-splice
-
-scale-splice:
-	awk 'BEGIN { while ((getline line < "BENCH_SCALE.md") > 0) tbl = tbl line "\n" } \
-	     /<!-- scale-table:begin -->/ { print; printf "%s", tbl; skip = 1; next } \
-	     /<!-- scale-table:end -->/ { skip = 0 } \
-	     !skip { print }' README.md > README.md.tmp && mv README.md.tmp README.md
 
 # Failure waves + hidden-fault localization; writes
 # BENCH_SURVIVABILITY.json. Full schedules — CI uses `--quick`, which

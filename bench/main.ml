@@ -42,22 +42,11 @@ let list_experiments () =
   List.iter (fun (n, d, _) -> Printf.printf "  %-10s %s\n" n d) experiments
 
 let () =
-  (* Flags apply to the named experiments: --quick shrinks budgets and
-     arms the regression gates (perf and survivability), and --jobs N
-     (or DUMBNET_JOBS) adds a pool width to perf's scaling curve. *)
-  let rec strip_flags = function
-    | [] -> []
-    | "--quick" :: rest ->
-      E.Perf.quick := true;
-      E.Survivability.quick := true;
-      E.Scale.quick := true;
-      strip_flags rest
-    | "--jobs" :: n :: rest when int_of_string_opt n <> None ->
-      E.Perf.jobs_override := int_of_string_opt n;
-      strip_flags rest
-    | arg :: rest -> arg :: strip_flags rest
-  in
-  let args = strip_flags (Array.to_list Sys.argv) in
+  (* --quick shrinks budgets and arms the regression gates of perf,
+     scale and survivability for the named experiments. *)
+  let argv = Array.to_list Sys.argv in
+  E.Bench_util.quick := List.mem "--quick" argv;
+  let args = List.filter (fun arg -> arg <> "--quick") argv in
   match args with
   | _ :: [] ->
     print_endline "DumbNet evaluation harness: reproducing every table and figure of";

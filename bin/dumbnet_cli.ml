@@ -553,70 +553,6 @@ let diagnose_cmd =
           probe programs; exits 0 iff the verdict names exactly the faulted cable.")
     Term.(const diagnose_run $ topo_arg $ seed_arg $ fault_arg $ verbose_arg)
 
-(* --- bench subcommand --- *)
-
-let bench_run quick jobs names =
-  Dumbnet_experiments.Perf.quick := quick;
-  Dumbnet_experiments.Survivability.quick := quick;
-  Dumbnet_experiments.Scale.quick := quick;
-  Dumbnet_experiments.Perf.jobs_override := jobs;
-  let experiments =
-    [
-      ("fig7", Dumbnet_experiments.Fig7.run);
-      ("table1", Dumbnet_experiments.Table1.run);
-      ("fig8", Dumbnet_experiments.Fig8.run);
-      ("fig9", Dumbnet_experiments.Fig9.run);
-      ("aggregate", Dumbnet_experiments.Aggregate.run);
-      ("fig10", Dumbnet_experiments.Fig10.run);
-      ("table2", Dumbnet_experiments.Table2.run);
-      ("fig11a", Dumbnet_experiments.Fig11a.run);
-      ("fig11b", Dumbnet_experiments.Fig11b.run);
-      ("fig12", Dumbnet_experiments.Fig12.run);
-      ("fig13", Dumbnet_experiments.Fig13.run);
-      ("ablations", Dumbnet_experiments.Ablations.run);
-      ("telemetry", Dumbnet_experiments.Telemetry_exp.run);
-      ("perf", Dumbnet_experiments.Perf.run);
-      ("scale", Dumbnet_experiments.Scale.run);
-      ("survivability", Dumbnet_experiments.Survivability.run);
-    ]
-  in
-  match names with
-  | [] ->
-    List.iter (fun (_, f) -> f ()) experiments;
-    0
-  | names ->
-    List.fold_left
-      (fun rc name ->
-        match List.assoc_opt name experiments with
-        | Some f ->
-          f ();
-          rc
-        | None ->
-          Printf.eprintf "unknown experiment %S\n" name;
-          1)
-      0 names
-
-let bench_names_arg =
-  Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run (all if none).")
-
-let bench_quick_arg =
-  Arg.(
-    value & flag
-    & info [ "quick" ]
-        ~doc:"Shrink perf budgets and arm the regression gate (perf experiment only).")
-
-let bench_jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Extra pool width for the perf experiment's batch scaling curve.")
-
-let bench_cmd =
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Reproduce the paper's tables and figures (same as bench/main.exe).")
-    Term.(const bench_run $ bench_quick_arg $ bench_jobs_arg $ bench_names_arg)
-
 let () =
   let info =
     Cmd.info "dumbnet" ~version:"1.0.0"
@@ -633,5 +569,4 @@ let () =
             repair_cmd;
             telemetry_cmd;
             diagnose_cmd;
-            bench_cmd;
           ]))

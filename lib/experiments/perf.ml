@@ -5,9 +5,11 @@
     p50/p99 repair latency) — on a k=8 fat tree and a 64-switch
     Jellyfish. Writes BENCH_PERF.json (current numbers next to the
     committed pre-optimization baseline) so every future PR can see the
-    perf trajectory. With [quick] set (bench `perf --quick`), budgets
-    shrink and the run fails if any metric regresses more than
-    [max_regression] from the committed baseline. *)
+    perf trajectory, and BENCH_PERF.md, the README's perf tables. Under
+    `bench perf --quick` budgets shrink and the run fails, naming every
+    failed gate, if any metric regresses more than [max_regression]
+    from the committed baseline, a drain hop allocates past its budget
+    or failure repair stops being scoped. *)
 
 open Dumbnet_topology
 open Dumbnet_packet
@@ -16,18 +18,7 @@ module Network = Dumbnet_sim.Network
 module Topo_store = Dumbnet_control.Topo_store
 module Rng = Dumbnet_util.Rng
 module Pool = Dumbnet_util.Pool
-
-let quick = ref false
-
-(* `bench --jobs N` lands here; otherwise DUMBNET_JOBS / the machine's
-   core count via [Pool.default_jobs]. Appended to the scaling curve so
-   an operator can probe a specific width. *)
-let jobs_override : int option ref = ref None
-
-let requested_jobs () =
-  match !jobs_override with
-  | Some j -> max 1 j
-  | None -> Pool.default_jobs ()
+module Table = Dumbnet_util.Table
 
 let json_path = "BENCH_PERF.json"
 
@@ -86,46 +77,31 @@ let net_drain_before : (string * float) list =
    (tag pop), its [Forward] action and the one arrival closure. *)
 let net_drain_words_budget = 42.
 
-(* Run [f] repeatedly for ~[budget_s] wall seconds (after one warmup
-   call) and return calls/sec. [batch] amortizes the clock reads. *)
-let ops_per_sec ?(batch = 1) ~budget_s f =
-  ignore (f ());
-  let t0 = Unix.gettimeofday () in
-  let calls = ref 0 in
-  let elapsed = ref 0. in
-  while !elapsed < budget_s do
-    for _ = 1 to batch do
-      ignore (f ())
-    done;
-    calls := !calls + batch;
-    elapsed := Unix.gettimeofday () -. t0
-  done;
-  float_of_int !calls /. !elapsed
-
-let budget_s () = if !quick then 0.2 else 1.0
-
 (* --- path-graph computations/sec ------------------------------------- *)
+
+(* [n] host pairs (src <> dst) drawn from seed 7's stream: the same
+   stream for every [n], so a shorter sample is a prefix of a longer. *)
+let random_pairs built n =
+  let rng = Rng.create 7 in
+  let hosts = Array.of_list built.Builder.hosts in
+  let count = Array.length hosts in
+  Array.init n (fun _ ->
+      let src = hosts.(Rng.int rng count) in
+      let rec other () =
+        let dst = hosts.(Rng.int rng count) in
+        if dst = src then other () else dst
+      in
+      (src, other ()))
 
 (* A rotating set of host pairs, asked of a controller topo store the
    way bootstrap_push and the query service ask: repeatedly, with many
    queries sharing destination switches. *)
 let pathgraph_bench ~name built =
   let store = Topo_store.create built.Builder.graph in
-  let rng = Rng.create 7 in
-  let hosts = Array.of_list built.Builder.hosts in
-  let n = Array.length hosts in
-  let pairs =
-    Array.init 32 (fun _ ->
-        let src = hosts.(Rng.int rng n) in
-        let rec other () =
-          let dst = hosts.(Rng.int rng n) in
-          if dst = src then other () else dst
-        in
-        (src, other ()))
-  in
+  let pairs = random_pairs built 32 in
   let i = ref 0 in
   let ops =
-    ops_per_sec ~budget_s:(budget_s ()) (fun () ->
+    Bench_util.ops_per_sec ~budget_s:(Bench_util.budget_s ()) (fun () ->
         let src, dst = pairs.(!i mod 32) in
         incr i;
         Topo_store.serve_path_graph store ~src ~dst)
@@ -138,55 +114,41 @@ let pathgraph_bench ~name built =
    [Topo_store.serve_path_graphs] batch per iteration — the shape of
    the bootstrap push and the post-failure re-push. Reported as path
    graphs (items) per second so the rows compare directly with the
-   singular metric above. *)
+   singular metric above. jobs=1 takes the no-pool path (no domain ever
+   spawns); jobs>1 reuses one pool across every batch of the
+   measurement. *)
 let batch_size = 512
 
-let batch_pairs built =
-  let rng = Rng.create 7 in
-  let hosts = Array.of_list built.Builder.hosts in
-  let n = Array.length hosts in
-  Array.init batch_size (fun _ ->
-      let src = hosts.(Rng.int rng n) in
-      let rec other () =
-        let dst = hosts.(Rng.int rng n) in
-        if dst = src then other () else dst
-      in
-      (src, other ()))
-
-(* jobs=1 takes the no-pool path (no domain ever spawns); jobs>1 reuses
-   one pool across every batch of the measurement. *)
-let pathgraph_batch_bench ~name built ~jobs =
+let pathgraph_batch_bench built ~jobs =
   let store = Topo_store.create built.Builder.graph in
-  let pairs = batch_pairs built in
+  let pairs = random_pairs built batch_size in
   let measure pool =
-    ops_per_sec ~budget_s:(budget_s ()) (fun () ->
+    Bench_util.ops_per_sec ~budget_s:(Bench_util.budget_s ()) (fun () ->
         Topo_store.serve_path_graphs ?pool store pairs)
   in
   let batches =
-    if jobs = 1 then measure None
-    else Pool.with_pool ~jobs (fun pool -> measure (Some pool))
+    if jobs = 1 then measure None else Pool.with_pool ~jobs (fun pool -> measure (Some pool))
   in
-  (name, batches *. float_of_int batch_size)
+  batches *. float_of_int batch_size
 
-(* The curve CI and the README quote: powers of two up to the capped
-   default ([Pool.default_jobs], i.e. the machine's core count bounded
-   by [Pool.max_default_jobs]) plus whatever --jobs/DUMBNET_JOBS asks
-   for. Widths beyond the core count only measure scheduler thrash —
-   on a 1-core container the curve is just [1], which is the honest
-   answer instead of an inverted 8-domain row. *)
+(* The curve CI and the README quote: powers of two up to
+   [Pool.default_jobs] (DUMBNET_JOBS, else the machine's core count
+   bounded by [Pool.max_default_jobs]), and that width itself. Widths
+   beyond the core count only measure scheduler thrash — on a 1-core
+   container the curve is just [1], which is the honest answer instead
+   of an inverted 8-domain row. *)
 let jobs_curve () =
-  let top = max (Pool.default_jobs ()) (requested_jobs ()) in
+  let top = Pool.default_jobs () in
   let rec doubling j acc = if j > top then acc else doubling (j * 2) (j :: acc) in
-  List.sort_uniq compare (doubling 1 [ top; requested_jobs () ])
+  List.sort_uniq compare (doubling 1 [ top ])
 
 let batch_metric_name topo jobs =
   Printf.sprintf "pathgraph_batch_per_sec_%s_jobs%d" topo jobs
 
 let batch_curve ~topo built =
   List.map
-    (fun jobs -> (batch_metric_name topo jobs, jobs, pathgraph_batch_bench ~name:topo built ~jobs))
+    (fun jobs -> (topo, batch_metric_name topo jobs, jobs, pathgraph_batch_bench built ~jobs))
     (jobs_curve ())
-  |> List.map (fun (name, jobs, (_, ops)) -> (name, jobs, ops))
 
 (* --- incremental failure repair: convergence -------------------------- *)
 
@@ -209,10 +171,6 @@ type convergence = {
       (** of each repair, wall ms re-recording and sending the results *)
 }
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0. else sorted.(min (n - 1) (int_of_float (q *. float_of_int (n - 1) +. 0.5)))
-
 (* Drive whole failure→convergence cycles through a live fabric: fail a
    random cable, run the simulation to quiescence (stage-1 flood, scoped
    distance-cache repair, one patch, delta re-push to the subscribed
@@ -227,8 +185,8 @@ let failure_convergence_bench built =
   let g = Network.graph (Fabric.network fab) in
   let links = Array.of_list (List.map fst (Graph.switch_links g)) in
   let rng = Rng.create 31 in
-  let min_events = if !quick then 3 else 10 in
-  let budget = budget_s () in
+  let min_events = if !Bench_util.quick then 3 else 10 in
+  let budget = Bench_util.budget_s () in
   let latencies = ref [] in
   let events = ref 0 in
   let repushed = ref 0 and evicted = ref 0 and retained = ref 0 in
@@ -271,8 +229,8 @@ let failure_convergence_bench built =
     conv_evicted_per_event = float_of_int !evicted /. n;
     conv_retained_per_event = float_of_int !retained /. n;
     conv_events_per_sec = n /. !spent;
-    conv_p50_ms = percentile sorted 0.50 *. 1000.;
-    conv_p99_ms = percentile sorted 0.99 *. 1000.;
+    conv_p50_ms = Bench_util.percentile sorted 0.50 *. 1000.;
+    conv_p99_ms = Bench_util.percentile sorted 0.99 *. 1000.;
     conv_regen_ms_per_event = !regen /. n *. 1000.;
     conv_push_ms_per_event = !push /. n *. 1000.;
   }
@@ -330,22 +288,18 @@ let net_drain built routes ~frames_per_host =
   let w1 = Gc.minor_words () in
   (eng, net, r1 -. r0, w1 -. w0)
 
-(* Hops/s and minor words per hop of one drain. A row keeps its best
-   repetition; the words figure is deterministic. *)
-let net_drain_once built routes ~frames_per_host =
-  let _, net, wall_s, words = net_drain built routes ~frames_per_host in
-  let hops = max 1 (Network.stats net).Network.switch_hops in
-  (float_of_int hops /. wall_s, words /. float_of_int hops)
-
+(* Hops/s and minor words per hop of the best of >= 3 drains; the words
+   figure is deterministic. *)
 let net_drain_bench built routes ~frames_per_host =
   let best = ref 0. and words = ref 0. in
   let t0 = Unix.gettimeofday () in
   let runs = ref 0 in
-  while !runs < 3 || Unix.gettimeofday () -. t0 < budget_s () do
-    let ops, w = net_drain_once built routes ~frames_per_host in
-    if ops > !best then begin
-      best := ops;
-      words := w
+  while !runs < 3 || Unix.gettimeofday () -. t0 < Bench_util.budget_s () do
+    let _, net, wall_s, w = net_drain built routes ~frames_per_host in
+    let hops = float_of_int (max 1 (Network.stats net).Network.switch_hops) in
+    if hops /. wall_s > !best then begin
+      best := hops /. wall_s;
+      words := w /. hops
     end;
     incr runs
   done;
@@ -371,112 +325,89 @@ let codec_bench ~name =
   let frame = Frame.with_int frame in
   let frame = List.fold_left (fun f i -> Frame.add_stamp (stamp i) f) frame [ 0; 1; 2; 3 ] in
   let ops =
-    ops_per_sec ~batch:16 ~budget_s:(budget_s ()) (fun () -> Frame.of_bytes (Frame.to_bytes frame))
+    Bench_util.ops_per_sec ~batch:16 ~budget_s:(Bench_util.budget_s ()) (fun () ->
+        Frame.of_bytes (Frame.to_bytes frame))
   in
   (name, ops)
 
-(* --- harness ---------------------------------------------------------- *)
+(* --- the report ------------------------------------------------------- *)
 
-let assoc name l = try List.assoc name l with Not_found -> 0.
+type results = {
+  quick : bool;
+  max_regression : float;
+  jobs_curve : int list;
+  domains : int;  (** [Domain.recommended_domain_count] of the machine *)
+  metrics : (string * float) list;  (** sequential throughputs, ops/s *)
+  batch : (string * string * int * float) list;
+      (** the batch curves: (topology, metric, jobs, path graphs/s) *)
+  net_drain : (string * string * float * float) list;
+      (** (metric, topology, hops/s, minor words/hop) *)
+  conv : convergence;
+}
 
-(* ops at jobs=1 of a curve, the denominator of every scaling ratio. *)
-let jobs1_ops rows =
-  match List.find_opt (fun (_, jobs, _) -> jobs = 1) rows with
-  | Some (_, _, ops) -> ops
-  | None -> 0.
+(* A batch row's speedup over its topology's jobs=1 row. *)
+let vs_jobs1 r (topo, _, _, ops) =
+  match List.find_opt (fun (t, _, jobs, _) -> t = topo && jobs = 1) r.batch with
+  | Some (_, _, _, base) when base > 0. -> ops /. base
+  | Some _ | None -> 0.
 
-let write_json ~max_regression results scaling net_drain conv =
-  let oc = open_out json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"meta\": {\n";
-  p "    \"quick\": %b,\n" !quick;
-  p "    \"max_regression\": %.2f,\n" max_regression;
-  p "    \"jobs_curve\": [%s],\n"
-    (String.concat ", " (List.map string_of_int (jobs_curve ())));
-  p "    \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ());
-  p "    \"topologies\": [\"fat_tree_k8\", \"jellyfish_64\", \"jellyfish_1024\"]\n";
-  p "  },\n";
-  p "  \"metrics\": [\n";
-  let rec rows = function
-    | [] -> ()
-    | (name, ops) :: rest ->
-      (* A metric with no pre-optimization incarnation (the "before"
-         table carries 0) gets no before/speedup fields at all — a
-         literal 0.0 baseline would read as "infinitely slower". *)
-      let b = assoc name before in
-      if b > 0. then
-        p "    {\"name\": \"%s\", \"before_ops_per_sec\": %.1f, \"ops_per_sec\": %.1f, \
-           \"speedup_vs_before\": %.2f}%s\n"
-          name b ops (ops /. b)
-          (if rest = [] then "" else ",")
-      else
-        p "    {\"name\": \"%s\", \"ops_per_sec\": %.1f}%s\n" name ops
-          (if rest = [] then "" else ",");
-      rows rest
+let convergence_fields c =
+  let open Bench_util in
+  [ ("topology", String "fat_tree_k8"); ("jobs", Int 1); ("events", Int c.conv_events);
+    ("cached_pairs", Int c.conv_cached_pairs);
+    ("repushed_pairs_per_event", Float (2, c.conv_repushed_per_event));
+    ("scoping_factor", Float (2, c.conv_scoping_factor));
+    ("dist_tables_evicted_per_event", Float (2, c.conv_evicted_per_event));
+    ("dist_tables_retained_per_event", Float (2, c.conv_retained_per_event));
+    ("events_per_sec", Float (1, c.conv_events_per_sec));
+    ("repair_latency_p50_ms", Float (3, c.conv_p50_ms));
+    ("repair_latency_p99_ms", Float (3, c.conv_p99_ms));
+    ("repair_regen_ms_per_event", Float (3, c.conv_regen_ms_per_event));
+    ("repair_push_ms_per_event", Float (3, c.conv_push_ms_per_event)) ]
+
+let json r =
+  let open Bench_util in
+  let topologies = [ "fat_tree_k8"; "jellyfish_64"; "jellyfish_1024" ] in
+  (* A metric with no pre-optimization incarnation (the "before" table
+     carries 0) gets no before/speedup fields at all — a literal 0.0
+     baseline would read as "infinitely slower". *)
+  let metric (name, ops) =
+    let b = assoc name before and after = ("ops_per_sec", Float (1, ops)) in
+    let was = ("before_ops_per_sec", Float (1, b)) in
+    let speedup = ("speedup_vs_before", Float (2, ops /. b)) in
+    Obj (("name", String name) :: (if b > 0. then [ was; after; speedup ] else [ after ]))
   in
-  rows results;
-  p "  ],\n";
-  p "  \"batch_scaling\": [\n";
-  let all_rows =
-    List.concat_map
-      (fun (_, curve) ->
-        let base = jobs1_ops curve in
-        List.map (fun (name, jobs, ops) -> (name, jobs, ops, base)) curve)
-      scaling
+  (* Batch rows never sequentially emulate: a jobs>1 pool really spawns
+     that many domains, so the mode split is binary. *)
+  let batch ((_, name, jobs, ops) as row) =
+    Obj
+      [ ("name", String name); ("jobs", Int jobs);
+        ("mode", String (if jobs = 1 then "single" else "parallel"));
+        ("ops_per_sec", Float (1, ops)); ("speedup_vs_jobs1", Float (2, vs_jobs1 r row)) ]
   in
-  let rec srows = function
-    | [] -> ()
-    | (name, jobs, ops, base) :: rest ->
-      (* Batch rows never sequentially emulate: a jobs>1 pool really
-         spawns that many domains, so the mode split is binary. *)
-      p "    {\"name\": \"%s\", \"jobs\": %d, \"mode\": \"%s\", \"ops_per_sec\": %.1f, \
-         \"speedup_vs_jobs1\": %.2f}%s\n"
-        name jobs
-        (if jobs = 1 then "single" else "parallel")
-        ops
-        (if base > 0. then ops /. base else 0.)
-        (if rest = [] then "" else ",");
-      srows rest
+  let drain (name, topo, ops, words) =
+    Obj
+      [ ("name", String name); ("topology", String topo);
+        ("before_ops_per_sec", Float (1, assoc name net_drain_before));
+        ("ops_per_sec", Float (1, ops)); ("minor_words_per_hop", Float (2, words)) ]
   in
-  srows all_rows;
-  p "  ],\n";
-  p "  \"net_drain\": [\n";
-  let rec nrows = function
-    | [] -> ()
-    | (name, topo, ops, words) :: rest ->
-      p
-        "    {\"name\": \"%s\", \"topology\": \"%s\", \"before_ops_per_sec\": %.1f, \
-         \"ops_per_sec\": %.1f, \"minor_words_per_hop\": %.2f}%s\n"
-        name topo (assoc name net_drain_before) ops words
-        (if rest = [] then "" else ",");
-      nrows rest
-  in
-  nrows net_drain;
-  p "  ],\n";
-  p "  \"failure_convergence\": {\n";
-  p "    \"topology\": \"fat_tree_k8\",\n";
-  p "    \"jobs\": 1,\n";
-  p "    \"events\": %d,\n" conv.conv_events;
-  p "    \"cached_pairs\": %d,\n" conv.conv_cached_pairs;
-  p "    \"repushed_pairs_per_event\": %.2f,\n" conv.conv_repushed_per_event;
-  p "    \"scoping_factor\": %.2f,\n" conv.conv_scoping_factor;
-  p "    \"dist_tables_evicted_per_event\": %.2f,\n" conv.conv_evicted_per_event;
-  p "    \"dist_tables_retained_per_event\": %.2f,\n" conv.conv_retained_per_event;
-  p "    \"events_per_sec\": %.1f,\n" conv.conv_events_per_sec;
-  p "    \"repair_latency_p50_ms\": %.3f,\n" conv.conv_p50_ms;
-  p "    \"repair_latency_p99_ms\": %.3f,\n" conv.conv_p99_ms;
-  p "    \"repair_regen_ms_per_event\": %.3f,\n" conv.conv_regen_ms_per_event;
-  p "    \"repair_push_ms_per_event\": %.3f\n" conv.conv_push_ms_per_event;
-  p "  }\n";
-  p "}\n";
-  close_out oc
+  Obj
+    [
+      ( "meta",
+        Obj
+          [ ("quick", Bool r.quick); ("max_regression", Float (2, r.max_regression));
+            ("jobs_curve", List (List.map (fun j -> Int j) r.jobs_curve));
+            ("recommended_domain_count", Int r.domains);
+            ("topologies", List (List.map (fun t -> String t) topologies)) ] );
+      ("metrics", List (List.map metric r.metrics));
+      ("batch_scaling", List (List.map batch r.batch));
+      ("net_drain", List (List.map drain r.net_drain));
+      ("failure_convergence", Obj (convergence_fields r.conv));
+    ]
 
-(* --- BENCH_PERF.md: the README's perf tables, generated ---------------- *)
-
-(* README.md quotes these tables between "perf-table:begin/end" markers;
-   `make perf-table` re-runs the bench and splices this file in, so the
-   README can never drift from BENCH_PERF.json again. *)
+(* README.md quotes the two markdown tables between "perf-table:begin/end"
+   markers; `make perf-table` re-runs the bench and splices BENCH_PERF.md
+   in, so the README can never drift from BENCH_PERF.json again. *)
 
 let thousands f =
   let s = Printf.sprintf "%.0f" f in
@@ -493,51 +424,105 @@ let display_label = function
   | "pathgraph_per_sec_fat_tree_k8" -> "path graphs/sec, fat tree k=8"
   | "pathgraph_per_sec_jellyfish_64" -> "path graphs/sec, Jellyfish 64"
   | "codec_roundtrips_per_sec" -> "frame codec round-trips/sec"
-  | s -> s
-
-let topo_display = function
   | "fat_tree_k8" -> "fat tree k=8"
   | "jellyfish_64" -> "Jellyfish 64"
   | "jellyfish_1024" -> "Jellyfish 1024"
   | s -> s
 
-let write_markdown results net_drain =
-  let oc = open_out md_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "| metric | before (ops/s) | after (ops/s) | speedup |\n";
-  p "|---|---:|---:|---:|\n";
-  List.iter
-    (fun (name, ops) ->
-      let b = assoc name before in
-      p "| %s | %s | %s | %s |\n" (display_label name)
-        (if b > 0. then thousands b else "—")
-        (thousands ops)
-        (if b > 0. then Printf.sprintf "%.1fx" (ops /. b) else "—"))
-    results;
-  p "\n";
-  p "Simulated switch hops/sec: every host's burst drained through Engine +\n";
-  p "Network, the simulator every figure and fabbench workload runs on\n";
-  p "(before: closure-lane heap):\n";
-  p "\n";
-  p "| topology | before (hops/s) | after (hops/s) | speedup | minor words/hop |\n";
-  p "|---|---:|---:|---:|---:|\n";
-  List.iter
-    (fun (name, topo, ops, words) ->
-      let b = assoc name net_drain_before in
-      p "| %s | %s | %s | %s | %.1f |\n" (topo_display topo)
-        (if b > 0. then thousands b else "—")
-        (thousands ops)
-        (if b > 0. then Printf.sprintf "%.2fx" (ops /. b) else "—")
-        words)
-    net_drain;
-  close_out oc
+(* A throughput next to its baseline: before, after, speedup. *)
+let versus ~speedup b ops =
+  if b > 0. then [ thousands b; thousands ops; Printf.sprintf speedup (ops /. b) ]
+  else [ "—"; thousands ops; "—" ]
+
+let metrics_table r =
+  Table.of_rows
+    [ "metric"; "before (ops/s)"; "after (ops/s)"; "speedup" ]
+    (List.map
+       (fun (name, ops) ->
+         display_label name :: versus ~speedup:"%.1fx" (Bench_util.assoc name before) ops)
+       r.metrics)
+
+let net_drain_table r =
+  Table.of_rows
+    [ "topology"; "before (hops/s)"; "after (hops/s)"; "speedup"; "minor words/hop" ]
+    (List.map
+       (fun (name, topo, ops, words) ->
+         let b = Bench_util.assoc name net_drain_before in
+         (display_label topo :: versus ~speedup:"%.2fx" b ops) @ [ Printf.sprintf "%.1f" words ])
+       r.net_drain)
+
+let markdown r =
+  Table.markdown (metrics_table r)
+  ^ "\nSimulated switch hops/sec: every host's burst drained through Engine +\n\
+     Network, the simulator every figure and fabbench workload runs on\n\
+     (before: closure-lane heap):\n\n"
+  ^ Table.markdown (net_drain_table r)
+
+let batch_table r =
+  Table.of_rows
+    [ "topology"; "jobs"; "path graphs/s"; "vs jobs=1" ]
+    (List.map
+       (fun ((topo, _, jobs, ops) as row) ->
+         let speedup = vs_jobs1 r row in
+         [ topo; string_of_int jobs; Printf.sprintf "%.0f" ops;
+           (if speedup > 0. then Printf.sprintf "%.2fx" speedup else "-") ])
+       r.batch)
+
+(* The console shows the failure_convergence record as the JSON has it. *)
+let convergence_table c =
+  Table.of_rows
+    [ "incremental failure repair"; "value" ]
+    (List.map
+       (fun (k, v) -> [ k; String.trim (Bench_util.json_to_string v) ])
+       (convergence_fields c))
+
+let gates r =
+  let c = r.conv in
+  (* The Engine + Network hop allocates a fixed handful of blocks; a
+     higher figure means a per-hop closure or option crept back. *)
+  let words =
+    List.filter_map
+      (fun (name, _, _, words) ->
+        if words <= net_drain_words_budget then None
+        else
+          Some
+            (Printf.sprintf "%s allocates %.1f minor words per hop (budget %.1f)" name words
+               net_drain_words_budget))
+      r.net_drain
+  in
+  (* The point of incremental repair: a single-cable failure must avoid
+     recomputing the overwhelming share of pushed path graphs. Anything
+     under 5x means the subscription index has degraded into wholesale
+     re-push. *)
+  let scoping =
+    if c.conv_scoping_factor >= 5. then []
+    else
+      [
+        Printf.sprintf
+          "failure-repair scoping factor %.2f < 5.0 (re-pushing %.1f of %d cached pairs per \
+           event)"
+          c.conv_scoping_factor c.conv_repushed_per_event c.conv_cached_pairs;
+      ]
+  in
+  (* Gate the sequential metrics plus the scheduling-free jobs=1 rows;
+     wider rows depend on the host's core count. *)
+  let gated =
+    r.metrics
+    @ List.filter_map
+        (fun (_, name, jobs, ops) -> if jobs = 1 then Some (name, ops) else None)
+        r.batch
+    @ List.map (fun (name, _, ops, _) -> (name, ops)) r.net_drain
+    @ [ ("failure_events_per_sec_fat_tree_k8_jobs1", c.conv_events_per_sec) ]
+  in
+  words @ scoping
+  @ Bench_util.regressions ~max_regression:r.max_regression ~committed ~unit:"ops/s" gated
 
 let run () =
   let max_regression = Bench_util.max_regression () in
   Report.section ~id:"Perf" ~title:"hot-path microbenchmarks (BENCH_PERF.json)";
   let ft8 = Builder.fat_tree ~k:8 () in
   let jelly = Builder.jellyfish ~switches:64 () in
-  let results =
+  let metrics =
     [
       pathgraph_bench ~name:"pathgraph_per_sec_fat_tree_k8" ft8;
       pathgraph_bench ~name:"pathgraph_per_sec_jellyfish_64" jelly;
@@ -552,125 +537,26 @@ let run () =
         ("jellyfish_1024", Builder.jellyfish ~switches:1024 (), 8);
       ]
   in
-  let scaling =
-    [
-      ("fat_tree_k8", batch_curve ~topo:"fat_tree_k8" ft8);
-      ("jellyfish_64", batch_curve ~topo:"jellyfish_64" jelly);
-    ]
+  let batch =
+    List.concat_map
+      (fun (topo, built) -> batch_curve ~topo built)
+      [ ("fat_tree_k8", ft8); ("jellyfish_64", jelly) ]
   in
-  Report.table
-    ~headers:[ "metric"; "before (ops/s)"; "now (ops/s)"; "speedup" ]
-    (List.map
-       (fun (name, ops) ->
-         let b = assoc name before in
-         [
-           name;
-           Printf.sprintf "%.0f" b;
-           Printf.sprintf "%.0f" ops;
-           (if b > 0. then Printf.sprintf "%.2fx" (ops /. b) else "-");
-         ])
-       results);
-  Report.note "simulated switch hops, every host's burst drained through Engine + Network:";
-  Report.table
-    ~headers:[ "topology"; "before hops/s"; "now hops/s"; "minor words/hop" ]
-    (List.map
-       (fun (name, topo, ops, words) ->
-         [
-           topo;
-           Printf.sprintf "%.0f" (assoc name net_drain_before);
-           Printf.sprintf "%.0f" ops;
-           Printf.sprintf "%.1f" words;
-         ])
-       net_drain);
-  Report.note
-    (Printf.sprintf
-       "batched path-graph service, %d-query batches (Topo_store.serve_path_graphs; \
-        this machine recommends %d domains):"
-       batch_size
-       (Domain.recommended_domain_count ()));
-  Report.table
-    ~headers:[ "topology"; "jobs"; "path graphs/s"; "vs jobs=1" ]
-    (List.concat_map
-       (fun (topo, curve) ->
-         let base = jobs1_ops curve in
-         List.map
-           (fun (_, jobs, ops) ->
-             [
-               topo;
-               string_of_int jobs;
-               Printf.sprintf "%.0f" ops;
-               (if base > 0. then Printf.sprintf "%.2fx" (ops /. base) else "-");
-             ])
-           curve)
-       scaling);
   let conv = failure_convergence_bench ft8 in
+  let r =
+    { quick = !Bench_util.quick; max_regression; jobs_curve = jobs_curve ();
+      domains = Domain.recommended_domain_count (); metrics; batch; net_drain; conv }
+  in
+  Table.print (metrics_table r);
+  Report.note "simulated switch hops, every host's burst drained through Engine + Network:";
+  Table.print (net_drain_table r);
   Report.note
     (Printf.sprintf
-       "incremental failure repair, fat_tree_k8 fabric (jobs=1, %d events): a single cable \
-        failure re-pushes %.1f of %d cached path graphs (scoping factor %.1fx), evicting \
-        %.1f and retaining %.1f memoized distance tables"
-       conv.conv_events conv.conv_repushed_per_event conv.conv_cached_pairs
-       conv.conv_scoping_factor conv.conv_evicted_per_event conv.conv_retained_per_event);
-  Report.table
-    ~headers:[ "metric"; "value" ]
-    [
-      [ "failure events/s (fail -> converged)"; Printf.sprintf "%.1f" conv.conv_events_per_sec ];
-      [ "repair latency p50"; Printf.sprintf "%.2f ms" conv.conv_p50_ms ];
-      [ "repair latency p99"; Printf.sprintf "%.2f ms" conv.conv_p99_ms ];
-      [ "re-pushed pairs/event"; Printf.sprintf "%.1f" conv.conv_repushed_per_event ];
-      [ "scoping factor"; Printf.sprintf "%.1fx" conv.conv_scoping_factor ];
-      [ "regen phase/event"; Printf.sprintf "%.2f ms" conv.conv_regen_ms_per_event ];
-      [ "push phase/event"; Printf.sprintf "%.2f ms" conv.conv_push_ms_per_event ];
-    ];
-  write_json ~max_regression results scaling net_drain conv;
-  write_markdown results net_drain;
-  Report.note (Printf.sprintf "wrote %s and %s" json_path md_path);
-  if !quick then begin
-    (* Gate the sequential metrics plus the scheduling-free jobs=1 rows;
-       wider rows depend on the host's core count. *)
-    let gated =
-      results
-      @ List.filter_map
-          (fun (_, curve) ->
-            List.find_opt (fun (_, jobs, _) -> jobs = 1) curve
-            |> Option.map (fun (name, _, ops) -> (name, ops)))
-          scaling
-      @ List.map (fun (name, _, ops, _) -> (name, ops)) net_drain
-      @ [ ("failure_events_per_sec_fat_tree_k8_jobs1", conv.conv_events_per_sec) ]
-    in
-    (* The Engine + Network hop allocates a fixed handful of blocks; a
-       higher figure means a per-hop closure or option crept back. *)
-    List.iter
-      (fun (name, _, _, words) ->
-        if words > net_drain_words_budget then begin
-          Printf.printf
-            "PERF REGRESSION: %s allocates %.1f minor words per hop (budget %.1f)\n" name
-            words net_drain_words_budget;
-          exit 1
-        end)
-      net_drain;
-    (* The point of incremental repair: a single-cable failure must
-       avoid recomputing the overwhelming share of pushed path graphs.
-       Anything under 5x means the subscription index has degraded
-       into wholesale re-push. *)
-    if conv.conv_scoping_factor < 5. then begin
-      Printf.printf
-        "PERF REGRESSION: failure-repair scoping factor %.2f < 5.0 (re-pushing %.1f of %d \
-         cached pairs per event)\n"
-        conv.conv_scoping_factor conv.conv_repushed_per_event conv.conv_cached_pairs;
-      exit 1
-    end;
-    let failed =
-      List.filter
-        (fun (name, ops) ->
-          let base = assoc name committed in
-          base > 0. && ops < base /. max_regression)
-        gated
-    in
-    List.iter
-      (fun (name, ops) ->
-        Printf.printf "PERF REGRESSION: %s at %.0f ops/s, committed baseline %.0f (>%.1fx slower)\n"
-          name ops (assoc name committed) max_regression)
-      failed;
-    if failed <> [] then exit 1
-  end
+       "batched path-graph service, %d-query batches (Topo_store.serve_path_graphs; this \
+        machine recommends %d domains):"
+       batch_size r.domains);
+  Table.print (batch_table r);
+  Table.print (convergence_table conv);
+  Bench_util.write_reports
+    [ (json_path, Bench_util.json_to_string (json r)); (md_path, markdown r) ];
+  Bench_util.enforce ~prefix:"PERF REGRESSION" (gates r)

@@ -5,10 +5,7 @@ let section ~id ~title =
 
 let note s = Printf.printf "%s\n" s
 
-let table ~headers rows =
-  let t = Table.create headers in
-  List.iter (Table.add_row t) rows;
-  Table.print t
+let table ~headers rows = Table.print (Table.of_rows headers rows)
 
 let gbps v = Printf.sprintf "%.2f Gbps" v
 

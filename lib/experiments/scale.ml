@@ -6,8 +6,9 @@
     {64, 256, 1024}. Writes BENCH_SCALE.json and BENCH_SCALE.md (the
     README's scale table, spliced by `make scale-table`). With [quick]
     set (`bench scale --quick`), only the small points run, budgets
-    shrink, and the run fails if the interned arena stops paying for
-    itself or throughput regresses past the committed baseline. *)
+    shrink, and the run fails, naming every failed gate, if the
+    interned arena stops paying for itself, repair stops being scoped
+    or throughput regresses past the committed baseline. *)
 
 open Dumbnet_topology
 open Dumbnet_packet
@@ -15,8 +16,7 @@ module Topo_store = Dumbnet_control.Topo_store
 module Ledger = Dumbnet_control.Ledger
 module Tag_arena = Dumbnet_topology.Tag_arena
 module Rng = Dumbnet_util.Rng
-
-let quick = ref false
+module Table = Dumbnet_util.Table
 
 let json_path = "BENCH_SCALE.json"
 
@@ -38,38 +38,15 @@ type point = {
 }
 
 let points =
+  let pt pt_name pt_small pt_build = { pt_name; pt_small; pt_build } in
   [
-    { pt_name = "fat_tree_k8"; pt_small = true; pt_build = (fun () -> Builder.fat_tree ~k:8 ()) };
-    {
-      pt_name = "fat_tree_k16";
-      pt_small = true;
-      pt_build = (fun () -> Builder.fat_tree ~k:16 ());
-    };
-    {
-      pt_name = "fat_tree_k32";
-      pt_small = false;
-      pt_build = (fun () -> Builder.fat_tree ~k:32 ());
-    };
-    {
-      pt_name = "fat_tree_k48";
-      pt_small = false;
-      pt_build = (fun () -> Builder.fat_tree ~k:48 ());
-    };
-    {
-      pt_name = "jellyfish_64";
-      pt_small = true;
-      pt_build = (fun () -> Builder.jellyfish ~switches:64 ());
-    };
-    {
-      pt_name = "jellyfish_256";
-      pt_small = false;
-      pt_build = (fun () -> Builder.jellyfish ~switches:256 ());
-    };
-    {
-      pt_name = "jellyfish_1024";
-      pt_small = false;
-      pt_build = (fun () -> Builder.jellyfish ~switches:1024 ());
-    };
+    pt "fat_tree_k8" true (fun () -> Builder.fat_tree ~k:8 ());
+    pt "fat_tree_k16" true (fun () -> Builder.fat_tree ~k:16 ());
+    pt "fat_tree_k32" false (fun () -> Builder.fat_tree ~k:32 ());
+    pt "fat_tree_k48" false (fun () -> Builder.fat_tree ~k:48 ());
+    pt "jellyfish_64" true (fun () -> Builder.jellyfish ~switches:64 ());
+    pt "jellyfish_256" false (fun () -> Builder.jellyfish ~switches:256 ());
+    pt "jellyfish_1024" false (fun () -> Builder.jellyfish ~switches:1024 ());
   ]
 
 (* --- measurement helpers ---------------------------------------------- *)
@@ -138,24 +115,20 @@ let measure pt =
      query service sees bootstrap and re-push storms. The first lap
      pays the BFS memoization; steady state is what's metered. *)
   let rng = Rng.create 7 in
-  let tp_pairs = sample_pairs built rng (if !quick then 24 else 64) in
+  let tp_pairs = sample_pairs built rng (if !Bench_util.quick then 24 else 64) in
   let tp_n = Array.length tp_pairs in
   Array.iter (fun (src, dst) -> ignore (Topo_store.serve_path_graph store ~src ~dst)) tp_pairs;
-  let budget = if !quick then 0.2 else 1.0 in
-  let t0 = now () in
   let served = ref 0 in
-  let elapsed = ref 0. in
-  while !elapsed < budget do
-    let src, dst = tp_pairs.(!served mod tp_n) in
-    ignore (Topo_store.serve_path_graph store ~src ~dst);
-    incr served;
-    elapsed := now () -. t0
-  done;
-  let graphs_per_sec = float_of_int !served /. !elapsed in
+  let graphs_per_sec =
+    Bench_util.ops_per_sec ~budget_s:(Bench_util.budget_s ()) (fun () ->
+        let src, dst = tp_pairs.(!served mod tp_n) in
+        incr served;
+        Topo_store.serve_path_graph store ~src ~dst)
+  in
   (* Memory budget: push a ledger of distinct pairs through the shared
      arena, and price the same path graphs held raw — the
      representation the controller shipped before interning. *)
-  let ledger_pairs = sample_pairs built rng (if !quick then 64 else 256) in
+  let ledger_pairs = sample_pairs built rng (if !Bench_util.quick then 64 else 256) in
   let raw = Hashtbl.create (Array.length ledger_pairs) in
   let subscribed = ref Types.Link_set.empty in
   Array.iter
@@ -179,7 +152,7 @@ let measure pt =
      ledger actually covers: at mega-fabric sizes a sampled ledger
      subscribes a thin slice of all cables, and failing an uncovered
      cable measures nothing. *)
-  let repair_events = if !quick then 4 else 16 in
+  let repair_events = if !Bench_util.quick then 4 else 16 in
   let cable_keys = Array.of_list (Types.Link_set.elements !subscribed) in
   let seq = ref 0 in
   let affected_total = ref 0 in
@@ -226,141 +199,104 @@ let measure pt =
     r_point_s = now () -. t_start;
   }
 
-(* --- output ------------------------------------------------------------ *)
+(* --- the report ------------------------------------------------------- *)
 
-let write_json ~max_regression results =
-  let oc = open_out json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"meta\": {\n";
-  p "    \"quick\": %b,\n" !quick;
-  p "    \"max_regression\": %.2f,\n" max_regression;
-  p "    \"word_bytes\": %d,\n" word_bytes;
-  p "    \"points\": [%s]\n"
-    (String.concat ", " (List.map (fun r -> Printf.sprintf "\"%s\"" r.r_name) results));
-  p "  },\n";
-  p "  \"curve\": [\n";
-  let rec rows = function
-    | [] -> ()
-    | r :: rest ->
-      p "    {\"name\": \"%s\", \"switches\": %d, \"hosts\": %d, \"cables\": %d, \
-         \"pathgraphs_per_sec\": %.1f, \"ledger_pairs\": %d, \
-         \"interned_bytes_per_pair\": %.1f, \"uninterned_bytes_per_pair\": %.1f, \
-         \"arena_stacks\": %d, \"arena_bytes\": %d, \"arena_interns\": %d, \
-         \"repair_events\": %d, \"affected_pairs_per_event\": %.2f, \
-         \"repair_scoping_factor\": %.1f, \
-         \"evicted_roots_per_event\": %.1f, \"retained_roots_per_event\": %.1f, \
-         \"live_mib\": %.1f, \"point_seconds\": %.1f}%s\n"
-        r.r_name r.r_switches r.r_hosts r.r_cables r.r_graphs_per_sec r.r_ledger_pairs
-        r.r_interned_bytes_per_pair
-        r.r_uninterned_bytes_per_pair r.r_arena_stacks r.r_arena_bytes r.r_arena_interns
-        r.r_repair_events r.r_affected_per_event r.r_scoping_factor r.r_evicted_per_event r.r_retained_per_event r.r_live_mib r.r_point_s
-        (if rest = [] then "" else ",");
-      rows rest
+type results = {
+  quick : bool;
+  max_regression : float;
+  curve : result list;  (** in the order of [points] *)
+}
+
+let json r =
+  let open Bench_util in
+  let point p =
+    Obj
+      [ ("name", String p.r_name); ("switches", Int p.r_switches); ("hosts", Int p.r_hosts);
+        ("cables", Int p.r_cables); ("pathgraphs_per_sec", Float (1, p.r_graphs_per_sec));
+        ("ledger_pairs", Int p.r_ledger_pairs);
+        ("interned_bytes_per_pair", Float (1, p.r_interned_bytes_per_pair));
+        ("uninterned_bytes_per_pair", Float (1, p.r_uninterned_bytes_per_pair));
+        ("arena_stacks", Int p.r_arena_stacks); ("arena_bytes", Int p.r_arena_bytes);
+        ("arena_interns", Int p.r_arena_interns); ("repair_events", Int p.r_repair_events);
+        ("affected_pairs_per_event", Float (2, p.r_affected_per_event));
+        ("repair_scoping_factor", Float (1, p.r_scoping_factor));
+        ("evicted_roots_per_event", Float (1, p.r_evicted_per_event));
+        ("retained_roots_per_event", Float (1, p.r_retained_per_event));
+        ("live_mib", Float (1, p.r_live_mib)); ("point_seconds", Float (1, p.r_point_s)) ]
   in
-  rows results;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+  Obj
+    [
+      ( "meta",
+        Obj
+          [ ("quick", Bool r.quick); ("max_regression", Float (2, r.max_regression));
+            ("word_bytes", Int word_bytes);
+            ("points", List (List.map (fun p -> String p.r_name) r.curve)) ] );
+      ("curve", List (List.map point r.curve));
+    ]
 
-let write_markdown results =
-  let oc = open_out md_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "| fabric | switches | hosts | path graphs/s | B/pair interned | B/pair raw | \
-     compression | repair scoping | live MiB |\n";
-  p "|---|---:|---:|---:|---:|---:|---:|---:|---:|\n";
-  List.iter
-    (fun r ->
-      p "| %s | %d | %d | %.0f | %.0f | %.0f | %.1fx | %.0fx | %.1f |\n" r.r_name
-        r.r_switches r.r_hosts r.r_graphs_per_sec r.r_interned_bytes_per_pair
-        r.r_uninterned_bytes_per_pair
-        (if r.r_interned_bytes_per_pair > 0. then
-           r.r_uninterned_bytes_per_pair /. r.r_interned_bytes_per_pair
-         else 0.)
-        r.r_scoping_factor r.r_live_mib)
-    results;
-  close_out oc
+(* The console table and BENCH_SCALE.md, which `make scale-table`
+   splices into the README. *)
+let table r =
+  let compression p =
+    if p.r_interned_bytes_per_pair > 0. then
+      p.r_uninterned_bytes_per_pair /. p.r_interned_bytes_per_pair
+    else 0.
+  in
+  Table.of_rows
+    [ "fabric"; "switches"; "hosts"; "path graphs/s"; "B/pair interned"; "B/pair raw";
+      "compression"; "repair scoping"; "live MiB" ]
+    (List.map
+       (fun p ->
+         [ p.r_name; string_of_int p.r_switches; string_of_int p.r_hosts;
+           Printf.sprintf "%.0f" p.r_graphs_per_sec;
+           Printf.sprintf "%.0f" p.r_interned_bytes_per_pair;
+           Printf.sprintf "%.0f" p.r_uninterned_bytes_per_pair;
+           Printf.sprintf "%.1fx" (compression p); Printf.sprintf "%.0fx" p.r_scoping_factor;
+           Printf.sprintf "%.1f" p.r_live_mib ])
+       r.curve)
 
-let assoc name l = try List.assoc name l with Not_found -> 0.
+let gates r =
+  let each f = List.filter_map f r.curve in
+  (* The arena's reason to exist: from k=16 up (and on every gated point
+     with a few hundred switches), interned storage must beat the raw
+     representation. *)
+  each (fun p ->
+      if p.r_switches >= 256 && p.r_interned_bytes_per_pair >= p.r_uninterned_bytes_per_pair
+      then
+        Some
+          (Printf.sprintf
+             "%s interned %.0f B/pair >= raw %.0f B/pair — the arena stopped paying for itself"
+             p.r_name p.r_interned_bytes_per_pair p.r_uninterned_bytes_per_pair)
+      else None)
+  (* A failure must stay scoped: one cable cannot invalidate more than a
+     third of the ledger on any gated point. *)
+  @ each (fun p ->
+        if p.r_scoping_factor > 0. && p.r_scoping_factor < 3. then
+          Some
+            (Printf.sprintf "%s repair scoping %.1fx < 3.0 (one cable re-pushes %.1f of %d pairs)"
+               p.r_name p.r_scoping_factor p.r_affected_per_event p.r_ledger_pairs)
+        else None)
+  @ Bench_util.regressions ~max_regression:r.max_regression ~committed ~unit:"path graphs/s"
+      (List.map (fun p -> (p.r_name, p.r_graphs_per_sec)) r.curve)
 
 let run () =
   let max_regression = Bench_util.max_regression () in
   Report.section ~id:"Scale"
     ~title:"mega-fabric curve: controller store + interned push ledger (BENCH_SCALE.json)";
-  let selected = List.filter (fun pt -> (not !quick) || pt.pt_small) points in
-  let results =
+  let selected = List.filter (fun pt -> (not !Bench_util.quick) || pt.pt_small) points in
+  let curve =
     List.map
       (fun pt ->
-        let r = measure pt in
+        let p = measure pt in
         Report.note
-          (Printf.sprintf
-             "%s: %d sw / %d hosts — %.0f path graphs/s, %.0f B/pair interned vs %.0f raw, \
-              scoping %.0fx, %.1f MiB live [%.1fs]"
-             r.r_name r.r_switches r.r_hosts r.r_graphs_per_sec r.r_interned_bytes_per_pair r.r_uninterned_bytes_per_pair r.r_scoping_factor
-             r.r_live_mib r.r_point_s);
-        r)
+          (Printf.sprintf "%s: %d switches / %d hosts measured [%.1fs]" p.r_name p.r_switches
+             p.r_hosts p.r_point_s);
+        p)
       selected
   in
-  Report.table
-    ~headers:
-      [
-        "fabric"; "switches"; "graphs/s"; "B/pair int"; "B/pair raw"; "scoping"; "live MiB";
-      ]
-    (List.map
-       (fun r ->
-         [
-           r.r_name;
-           string_of_int r.r_switches;
-           Printf.sprintf "%.0f" r.r_graphs_per_sec;
-           Printf.sprintf "%.0f" r.r_interned_bytes_per_pair;
-           Printf.sprintf "%.0f" r.r_uninterned_bytes_per_pair;
-           Printf.sprintf "%.0fx" r.r_scoping_factor;
-           Printf.sprintf "%.1f" r.r_live_mib;
-         ])
-       results);
-  write_json ~max_regression results;
-  write_markdown results;
-  Report.note (Printf.sprintf "wrote %s and %s" json_path md_path);
-  if !quick then begin
-    (* The arena's reason to exist: from k=16 up (and on every gated
-       point with a few hundred switches), interned storage must beat
-       the raw representation. *)
-    List.iter
-      (fun r ->
-        if r.r_switches >= 256 && r.r_interned_bytes_per_pair >= r.r_uninterned_bytes_per_pair
-        then begin
-          Printf.printf
-            "SCALE REGRESSION: %s interned %.0f B/pair >= raw %.0f B/pair — the arena \
-             stopped paying for itself\n"
-            r.r_name r.r_interned_bytes_per_pair r.r_uninterned_bytes_per_pair;
-          exit 1
-        end)
-      results;
-    (* A failure must stay scoped: one cable cannot invalidate more
-       than a third of the ledger on any gated point. *)
-    List.iter
-      (fun r ->
-        if r.r_scoping_factor > 0. && r.r_scoping_factor < 3. then begin
-          Printf.printf
-            "SCALE REGRESSION: %s repair scoping %.1fx < 3.0 (one cable re-pushes %.1f of %d \
-             pairs)\n"
-            r.r_name r.r_scoping_factor r.r_affected_per_event r.r_ledger_pairs;
-          exit 1
-        end)
-      results;
-    let failed =
-      List.filter
-        (fun r ->
-          let base = assoc r.r_name committed in
-          base > 0. && r.r_graphs_per_sec < base /. max_regression)
-        results
-    in
-    List.iter
-      (fun r ->
-        Printf.printf
-          "SCALE REGRESSION: %s at %.0f path graphs/s, committed baseline %.0f (>%.1fx \
-           slower)\n"
-          r.r_name r.r_graphs_per_sec (assoc r.r_name committed) max_regression)
-      failed;
-    if failed <> [] then exit 1
-  end
+  let r = { quick = !Bench_util.quick; max_regression; curve } in
+  let t = table r in
+  Table.print t;
+  Bench_util.write_reports
+    [ (json_path, Bench_util.json_to_string (json r)); (md_path, Table.markdown t) ];
+  Bench_util.enforce ~prefix:"SCALE REGRESSION" (gates r)

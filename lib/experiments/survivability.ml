@@ -40,8 +40,8 @@ module Endpoint = Dumbnet_telemetry.Endpoint
 module Prober = Dumbnet_telemetry.Prober
 module Localizer = Dumbnet_diagnosis.Localizer
 module Rng = Dumbnet_util.Rng
-
-let quick = ref false
+module Table = Dumbnet_util.Table
+module Stats = Dumbnet_util.Stats
 
 let json_path = "BENCH_SURVIVABILITY.json"
 
@@ -78,85 +78,27 @@ type sched_result = {
 
 (* --- ground-truth reachability ---------------------------------------- *)
 
-let switch_components g =
-  let comp = Hashtbl.create 97 in
-  let c = ref 0 in
-  List.iter
-    (fun s ->
-      if not (Hashtbl.mem comp s) then begin
-        let q = Queue.create () in
-        Queue.add s q;
-        Hashtbl.replace comp s !c;
-        while not (Queue.is_empty q) do
-          let u = Queue.pop q in
-          List.iter
-            (fun (_, v, _) ->
-              if not (Hashtbl.mem comp v) then begin
-                Hashtbl.replace comp v !c;
-                Queue.add v q
-              end)
-            (Graph.switch_neighbors g u)
-        done;
-        incr c
-      end)
-    (Graph.switch_ids g);
-  comp
-
+(* Ground truth over the fabric's up cables: one BFS per connected
+   component that holds a host, each host counted into the first
+   component whose distance table reaches its switch. *)
 let reachable_pct g hosts =
-  let comp = switch_components g in
-  let hcomps =
-    List.filter_map
-      (fun h ->
-        match Graph.host_location g h with
-        | Some (le : Types.link_end) -> Hashtbl.find_opt comp le.Types.sw
-        | None -> None)
-      hosts
-  in
-  let counts = Hashtbl.create 8 in
+  let adj = Graph.adjacency g in
+  let comps = ref [] in
+  let located = ref 0 in
   List.iter
-    (fun c ->
-      let n =
-        match Hashtbl.find_opt counts c with
-        | Some n -> n
-        | None -> 0
-      in
-      Hashtbl.replace counts c (n + 1))
-    hcomps;
-  let n = List.length hcomps in
-  let total = n * (n - 1) / 2 in
-  let intra = Hashtbl.fold (fun _ k acc -> acc + (k * (k - 1) / 2)) counts 0 in
+    (fun h ->
+      match Graph.host_location g h with
+      | None -> ()
+      | Some (le : Types.link_end) -> (
+        incr located;
+        match List.find_opt (fun (d, _) -> Adjacency.distance d le.Types.sw >= 0) !comps with
+        | Some (_, k) -> incr k
+        | None -> comps := (Adjacency.bfs_distances adj ~from:le.Types.sw, ref 1) :: !comps))
+    hosts;
+  let pairs k = k * (k - 1) / 2 in
+  let total = pairs !located in
+  let intra = List.fold_left (fun acc (_, k) -> acc + pairs !k) 0 !comps in
   if total = 0 then 100. else 100. *. float_of_int intra /. float_of_int total
-
-let bfs_dist g ~src_sw ~dst_sw =
-  if src_sw = dst_sw then Some 0
-  else begin
-    let dist = Hashtbl.create 97 in
-    Hashtbl.replace dist src_sw 0;
-    let q = Queue.create () in
-    Queue.add src_sw q;
-    let found = ref None in
-    while !found = None && not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      let du =
-        match Hashtbl.find_opt dist u with
-        | Some d -> d
-        | None -> 0
-      in
-      List.iter
-        (fun (_, v, _) ->
-          if not (Hashtbl.mem dist v) then begin
-            Hashtbl.replace dist v (du + 1);
-            if v = dst_sw then found := Some (du + 1);
-            Queue.add v q
-          end)
-        (Graph.switch_neighbors g u)
-    done;
-    !found
-  end
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0. else sorted.(min (n - 1) (int_of_float ((q *. float_of_int (n - 1)) +. 0.5)))
 
 (* The observer's view after a wave: how many cached best paths still
    walk the surviving fabric, and how far they wander from the new
@@ -169,6 +111,7 @@ let observer_path_health g agent ~observer dsts =
     | Some (le : Types.link_end) -> le.Types.sw
     | None -> invalid_arg "observer not attached"
   in
+  let dist = Adjacency.bfs_distances (Graph.adjacency g) ~from:obs_sw in
   let considered = ref 0 in
   let valid = ref 0 in
   let stretches = ref [] in
@@ -178,9 +121,9 @@ let observer_path_health g agent ~observer dsts =
         match Graph.host_location g dst with
         | None -> ()
         | Some (dle : Types.link_end) -> (
-          match bfs_dist g ~src_sw:obs_sw ~dst_sw:dle.Types.sw with
-          | None -> () (* physically partitioned: not a caching failure *)
-          | Some d ->
+          match Adjacency.distance dist dle.Types.sw with
+          | -1 -> () (* physically partitioned: not a caching failure *)
+          | d ->
             incr considered;
             let optimal = d + 1 in
             (match Pathtable.paths_to pt ~dst with
@@ -190,15 +133,11 @@ let observer_path_health g agent ~observer dsts =
                 (float_of_int (Path.length p) /. float_of_int optimal) :: !stretches
             | _ :: _ | [] -> ())))
     dsts;
-  let sorted = Array.of_list (List.sort compare !stretches) in
-  let mean =
-    if Array.length sorted = 0 then 0.
-    else Array.fold_left ( +. ) 0. sorted /. float_of_int (Array.length sorted)
-  in
+  let sorted = List.sort compare !stretches in
   let valid_pct =
     if !considered = 0 then 100. else 100. *. float_of_int !valid /. float_of_int !considered
   in
-  (valid_pct, mean, percentile sorted 0.99)
+  (valid_pct, Stats.mean sorted, Bench_util.percentile (Array.of_list sorted) 0.99)
 
 (* --- failure schedules ------------------------------------------------ *)
 
@@ -221,15 +160,16 @@ let inject_wave fab rng sched ~per_wave =
   let g = Network.graph (Fabric.network fab) in
   let eng = Fabric.engine fab in
   let now = Fabric.now_ns fab in
-  match sched with
-  | Independent ->
-    let victims = pick_distinct rng per_wave (up_cables g) in
+  let fail victims =
     List.iter
       (fun key ->
         let le, _ = Types.Link_key.ends key in
         Fabric.fail_link fab le)
       victims;
     victims
+  in
+  match sched with
+  | Independent -> fail (pick_distinct rng per_wave (up_cables g))
   | Correlated ->
     (* A switch-local blast: one random switch loses half its up
        fabric cables at once. *)
@@ -246,13 +186,7 @@ let inject_wave fab rng sched ~per_wave =
             Types.Link_key.make { Types.sw = s; port } { Types.sw = peer; port = peer_port })
           (Graph.switch_neighbors g s)
       in
-      let victims = pick_distinct rng ((List.length cables + 1) / 2) cables in
-      List.iter
-        (fun key ->
-          let le, _ = Types.Link_key.ends key in
-          Fabric.fail_link fab le)
-        victims;
-      victims)
+      fail (pick_distinct rng ((List.length cables + 1) / 2) cables))
   | Flapping ->
     let victims = pick_distinct rng per_wave (up_cables g) in
     List.iteri
@@ -265,17 +199,14 @@ let inject_wave fab rng sched ~per_wave =
       victims;
     victims
 
-let max_waves () = if !quick then 2 else 8
+let max_waves quick = if quick then 2 else 8
 
-let cables_per_wave () = if !quick then 3 else 6
+let cables_per_wave quick = if quick then 3 else 6
 
-let run_schedule ~topo_name built sched =
-  let coalesce_ns =
-    match sched with
-    | Flapping -> Some 500_000
-    | Independent | Correlated -> None
-  in
-  let fab = Fabric.create ~seed:29 ?coalesce_ns built in
+(* A fabric whose observer — the first host that is not the controller —
+   has asked for, and cached, a path graph to every other host. *)
+let warm_fabric ~seed ?coalesce_ns built =
+  let fab = Fabric.create ~seed ?coalesce_ns built in
   let hosts = built.Builder.hosts in
   let observer =
     match List.filter (fun h -> h <> built.Builder.controller) hosts with
@@ -285,6 +216,16 @@ let run_schedule ~topo_name built sched =
   let agent = Fabric.agent fab observer in
   List.iter (fun dst -> if dst <> observer then ignore (Agent.query_path agent ~dst)) hosts;
   Fabric.run fab;
+  (fab, observer, agent)
+
+let run_schedule ~topo_name built sched =
+  let coalesce_ns =
+    match sched with
+    | Flapping -> Some 500_000
+    | Independent | Correlated -> None
+  in
+  let fab, observer, agent = warm_fabric ~seed:29 ?coalesce_ns built in
+  let hosts = built.Builder.hosts in
   let ctrl = Fabric.controller fab in
   let rng = Rng.create (1 + Hashtbl.hash (topo_name, schedule_name sched)) in
   let g = Network.graph (Fabric.network fab) in
@@ -292,11 +233,11 @@ let run_schedule ~topo_name built sched =
   let cum = ref 0 in
   let partitioned = ref false in
   let wave_no = ref 0 in
-  while (not !partitioned) && !wave_no < max_waves () do
+  while (not !partitioned) && !wave_no < max_waves !Bench_util.quick do
     incr wave_no;
     let r0 = Controller.repush_stats ctrl in
     let t0 = Unix.gettimeofday () in
-    let victims = inject_wave fab rng sched ~per_wave:(cables_per_wave ()) in
+    let victims = inject_wave fab rng sched ~per_wave:(cables_per_wave !Bench_util.quick) in
     Fabric.run fab;
     let repair_ms = (Unix.gettimeofday () -. t0) *. 1000. in
     let r1 = Controller.repush_stats ctrl in
@@ -354,16 +295,8 @@ let off_path_partner g rng legs =
   | _ :: _ -> Some (List.nth candidates (Rng.int rng (List.length candidates)))
 
 let localization_trials ~topo_name built ~trials =
-  let fab = Fabric.create ~seed:41 built in
+  let fab, observer, agent = warm_fabric ~seed:41 built in
   let hosts = built.Builder.hosts in
-  let observer =
-    match List.filter (fun h -> h <> built.Builder.controller) hosts with
-    | h :: _ -> h
-    | [] -> built.Builder.controller
-  in
-  let agent = Fabric.agent fab observer in
-  List.iter (fun dst -> if dst <> observer then ignore (Agent.query_path agent ~dst)) hosts;
-  Fabric.run fab;
   let engine = Fabric.engine fab in
   let net = Fabric.network fab in
   let g = Network.graph net in
@@ -374,21 +307,18 @@ let localization_trials ~topo_name built ~trials =
   let loc = Localizer.create ~demote:false ~engine ~agent ~prober () in
   let rng = Rng.create 53 in
   let cache = Agent.topocache agent in
+  let primary_legs dst =
+    Option.bind (Dumbnet_host.Topocache.get cache ~dst) (fun pg ->
+        Prober.path_legs ~adj:(Pathgraph.adjacency pg) (Pathgraph.primary pg))
+  in
   let dsts =
     List.filter
       (fun d ->
         d <> observer
         &&
-        match Dumbnet_host.Topocache.get cache ~dst:d with
-        | Some pg -> (
-          match
-            Prober.path_legs
-              ~adj:(Pathgraph.adjacency pg)
-              (Pathgraph.primary pg)
-          with
-          | Some (_ :: _) -> true
-          | Some [] | None -> false)
-        | None -> false)
+        match primary_legs d with
+        | Some (_ :: _) -> true
+        | Some [] | None -> false)
       hosts
   in
   let exact = ref 0 in
@@ -401,122 +331,147 @@ let localization_trials ~topo_name built ~trials =
     | [] -> ()
     | _ :: _ ->
       let dst = List.nth dsts (Rng.int rng (List.length dsts)) in
-      (match Dumbnet_host.Topocache.get cache ~dst with
-      | None -> ()
-      | Some pg -> (
-        let path = Pathgraph.primary pg in
-        match Prober.path_legs ~adj:(Pathgraph.adjacency pg) path with
-        | None | Some [] -> ()
-        | Some legs ->
-          let leg = List.nth legs (Rng.int rng (List.length legs)) in
-          let target = Types.Link_key.make leg.Prober.leg_from leg.Prober.leg_to in
-          let want_miswire = trial mod 2 = 0 in
-          let partner = if want_miswire then off_path_partner g rng legs else None in
-          let undo =
-            match partner with
-            | Some p ->
-              Network.rewire_swap net leg.Prober.leg_from p;
-              fun () -> Network.rewire_swap net leg.Prober.leg_from p
-            | None ->
-              Network.set_cable_fault net leg.Prober.leg_from (Some Network.Silent_drop);
-              incr silent;
-              fun () -> Network.clear_faults net
+      (match primary_legs dst with
+      | None | Some [] -> ()
+      | Some legs ->
+        let leg = List.nth legs (Rng.int rng (List.length legs)) in
+        let target = Types.Link_key.make leg.Prober.leg_from leg.Prober.leg_to in
+        let want_miswire = trial mod 2 = 0 in
+        let partner = if want_miswire then off_path_partner g rng legs else None in
+        let undo =
+          match partner with
+          | Some p ->
+            Network.rewire_swap net leg.Prober.leg_from p;
+            fun () -> Network.rewire_swap net leg.Prober.leg_from p
+          | None ->
+            Network.set_cable_fault net leg.Prober.leg_from (Some Network.Silent_drop);
+            incr silent;
+            fun () -> Network.clear_faults net
+        in
+        incr ran;
+        let got = ref None in
+        let launched = Localizer.diagnose loc ~dst ~on_done:(fun v -> got := Some v) in
+        if launched then Fabric.run ~for_ns:200_000_000 fab;
+        undo ();
+        (match !got with
+        | None -> ()
+        | Some v ->
+          probes := float_of_int v.Localizer.v_probes :: !probes;
+          batches := float_of_int v.Localizer.v_batches :: !batches;
+          let named =
+            match v.Localizer.v_class with
+            | Localizer.Silent_drop { near; far } when partner = None ->
+              Some (Types.Link_key.make near far)
+            | Localizer.Miswired { near; far; _ } when partner <> None ->
+              Some (Types.Link_key.make near far)
+            | Localizer.Silent_drop _ | Localizer.Miswired _ | Localizer.Healthy
+            | Localizer.Degraded _ | Localizer.Inconclusive ->
+              None
           in
-          incr ran;
-          let got = ref None in
-          let launched = Localizer.diagnose loc ~dst ~on_done:(fun v -> got := Some v) in
-          if launched then Fabric.run ~for_ns:200_000_000 fab;
-          undo ();
-          (match !got with
-          | None -> ()
-          | Some v ->
-            probes := float_of_int v.Localizer.v_probes :: !probes;
-            batches := float_of_int v.Localizer.v_batches :: !batches;
-            let named =
-              match v.Localizer.v_class with
-              | Localizer.Silent_drop { near; far } when partner = None ->
-                Some (Types.Link_key.make near far)
-              | Localizer.Miswired { near; far; _ } when partner <> None ->
-                Some (Types.Link_key.make near far)
-              | Localizer.Silent_drop _ | Localizer.Miswired _ | Localizer.Healthy
-              | Localizer.Degraded _ | Localizer.Inconclusive ->
-                None
-            in
-            (match named with
-            | Some key when Types.Link_key.compare key target = 0 -> incr exact
-            | Some _ | None -> ()))))
+          (match named with
+          | Some key when Types.Link_key.compare key target = 0 -> incr exact
+          | Some _ | None -> ())))
   done;
-  let sorted = Array.of_list (List.sort compare !probes) in
-  let mean l =
-    match l with
-    | [] -> 0.
-    | _ :: _ -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-  in
   {
     l_topo = topo_name;
     l_trials = !ran;
     l_exact = !exact;
     l_silent = !silent;
-    l_probes_mean = mean !probes;
-    l_probes_p99 = percentile sorted 0.99;
-    l_batches_mean = mean !batches;
+    l_probes_mean = Stats.mean !probes;
+    l_probes_p99 = Bench_util.percentile (Array.of_list (List.sort compare !probes)) 0.99;
+    l_batches_mean = Stats.mean !batches;
   }
 
-(* --- harness ---------------------------------------------------------- *)
+(* --- the report ------------------------------------------------------- *)
 
-let write_json results locs =
-  let oc = open_out json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"meta\": {\n";
-  p "    \"quick\": %b,\n" !quick;
-  p "    \"max_waves\": %d,\n" (max_waves ());
-  p "    \"cables_per_wave\": %d,\n" (cables_per_wave ());
-  p "    \"schedules\": [%s],\n"
-    (String.concat ", "
-       (List.map (fun s -> Printf.sprintf "\"%s\"" (schedule_name s)) all_schedules));
-  p "    \"topologies\": [\"fat_tree_k8\", \"jellyfish_64\"]\n";
-  p "  },\n";
-  p "  \"survivability\": [\n";
-  let rec srows = function
-    | [] -> ()
-    | sr :: rest ->
-      p "    {\"topology\": \"%s\", \"schedule\": \"%s\", \"partitioned\": %b, \"waves\": [\n"
-        sr.sr_topo (schedule_name sr.sr_sched) sr.sr_partitioned;
-      let rec wrows = function
-        | [] -> ()
-        | w :: wrest ->
-          p "      {\"wave\": %d, \"cut\": %d, \"cum_cut\": %d, \"reach_pct\": %.2f, \
-             \"valid_paths_pct\": %.2f, \"stretch_mean\": %.3f, \"stretch_p99\": %.3f, \
-             \"repair_ms\": %.2f, \"repushed_pairs\": %d}%s\n"
-            w.w_index w.w_cut w.w_cum_cut w.w_reach_pct w.w_valid_paths_pct w.w_stretch_mean
-            w.w_stretch_p99 w.w_repair_ms w.w_repushed
-            (if wrest = [] then "" else ",");
-          wrows wrest
-      in
-      wrows sr.sr_waves;
-      p "    ]}%s\n" (if rest = [] then "" else ",");
-      srows rest
+type results = {
+  quick : bool;
+  schedules : sched_result list;  (** per topology, per schedule *)
+  locs : loc_result list;  (** per topology *)
+}
+
+let accuracy_pct l =
+  if l.l_trials = 0 then 0. else 100. *. float_of_int l.l_exact /. float_of_int l.l_trials
+
+let json r =
+  let open Bench_util in
+  let wave w =
+    Obj
+      [ ("wave", Int w.w_index); ("cut", Int w.w_cut); ("cum_cut", Int w.w_cum_cut);
+        ("reach_pct", Float (2, w.w_reach_pct));
+        ("valid_paths_pct", Float (2, w.w_valid_paths_pct));
+        ("stretch_mean", Float (3, w.w_stretch_mean)); ("stretch_p99", Float (3, w.w_stretch_p99));
+        ("repair_ms", Float (2, w.w_repair_ms)); ("repushed_pairs", Int w.w_repushed) ]
   in
-  srows results;
-  p "  ],\n";
-  p "  \"localization\": [\n";
-  let rec lrows = function
-    | [] -> ()
-    | l :: rest ->
-      p "    {\"topology\": \"%s\", \"trials\": %d, \"exact\": %d, \"accuracy_pct\": %.1f, \
-         \"silent_drop_trials\": %d, \"miswire_trials\": %d, \"probes_mean\": %.1f, \
-         \"probes_p99\": %.1f, \"batches_mean\": %.2f}%s\n"
-        l.l_topo l.l_trials l.l_exact
-        (if l.l_trials = 0 then 0. else 100. *. float_of_int l.l_exact /. float_of_int l.l_trials)
-        l.l_silent (l.l_trials - l.l_silent) l.l_probes_mean l.l_probes_p99 l.l_batches_mean
-        (if rest = [] then "" else ",");
-      lrows rest
+  let schedule sr =
+    Obj
+      [ ("topology", String sr.sr_topo); ("schedule", String (schedule_name sr.sr_sched));
+        ("partitioned", Bool sr.sr_partitioned); ("waves", List (List.map wave sr.sr_waves)) ]
   in
-  lrows locs;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
+  let localization l =
+    Obj
+      [ ("topology", String l.l_topo); ("trials", Int l.l_trials); ("exact", Int l.l_exact);
+        ("accuracy_pct", Float (1, accuracy_pct l)); ("silent_drop_trials", Int l.l_silent);
+        ("miswire_trials", Int (l.l_trials - l.l_silent));
+        ("probes_mean", Float (1, l.l_probes_mean)); ("probes_p99", Float (1, l.l_probes_p99));
+        ("batches_mean", Float (2, l.l_batches_mean)) ]
+  in
+  Obj
+    [
+      ( "meta",
+        Obj
+          [ ("quick", Bool r.quick); ("max_waves", Int (max_waves r.quick));
+            ("cables_per_wave", Int (cables_per_wave r.quick));
+            ("schedules", List (List.map (fun s -> String (schedule_name s)) all_schedules));
+            ("topologies", List [ String "fat_tree_k8"; String "jellyfish_64" ]) ] );
+      ("survivability", List (List.map schedule r.schedules));
+      ("localization", List (List.map localization r.locs));
+    ]
+
+let waves_table r =
+  Table.of_rows
+    [ "topology"; "schedule"; "wave"; "cables down"; "reachable"; "valid paths";
+      "stretch (mean/p99)"; "repair"; "re-pushed" ]
+    (List.concat_map
+       (fun sr ->
+         List.map
+           (fun w ->
+             [ sr.sr_topo; schedule_name sr.sr_sched; string_of_int w.w_index;
+               string_of_int w.w_cum_cut; Report.pct w.w_reach_pct; Report.pct w.w_valid_paths_pct;
+               Printf.sprintf "%.2f/%.2f" w.w_stretch_mean w.w_stretch_p99;
+               Report.ms w.w_repair_ms; string_of_int w.w_repushed ])
+           sr.sr_waves)
+       r.schedules)
+
+let localization_table r =
+  Table.of_rows
+    [ "topology"; "trials"; "exact"; "accuracy"; "probes (mean/p99)"; "batches" ]
+    (List.map
+       (fun l ->
+         [ l.l_topo; string_of_int l.l_trials; string_of_int l.l_exact;
+           (if l.l_trials = 0 then "-" else Report.pct (accuracy_pct l));
+           Printf.sprintf "%.1f/%.0f" l.l_probes_mean l.l_probes_p99;
+           Printf.sprintf "%.2f" l.l_batches_mean ])
+       r.locs)
+
+let gates r =
+  List.filter_map
+    (fun sr ->
+      match sr.sr_waves with
+      | w :: _ when w.w_reach_pct >= 100. -> None
+      | _ :: _ | [] ->
+        Some
+          (Printf.sprintf "%s/%s loses reachability in wave 1" sr.sr_topo
+             (schedule_name sr.sr_sched)))
+    r.schedules
+  @ List.filter_map
+      (fun l ->
+        if l.l_trials > 0 && l.l_exact >= l.l_trials then None
+        else
+          Some
+            (Printf.sprintf "localization on %s at %d/%d exact (expected 100%%)" l.l_topo
+               l.l_exact l.l_trials))
+      r.locs
 
 let run () =
   Report.section ~id:"Survivability"
@@ -526,82 +481,18 @@ let run () =
     Builder.random_regular ~rng:(Rng.create 23) ~switches:64 ~degree:6 ~hosts_per_switch:1 ()
   in
   let topos = [ ("fat_tree_k8", ft8); ("jellyfish_64", jelly) ] in
-  let results =
+  let schedules =
     List.concat_map
       (fun (name, built) ->
         List.map (fun sched -> run_schedule ~topo_name:name built sched) all_schedules)
       topos
   in
-  Report.table
-    ~headers:
-      [ "topology"; "schedule"; "wave"; "cables down"; "reachable"; "valid paths"; "stretch \
-         (mean/p99)"; "repair"; "re-pushed" ]
-    (List.concat_map
-       (fun sr ->
-         List.map
-           (fun w ->
-             [
-               sr.sr_topo;
-               schedule_name sr.sr_sched;
-               string_of_int w.w_index;
-               string_of_int w.w_cum_cut;
-               Report.pct w.w_reach_pct;
-               Report.pct w.w_valid_paths_pct;
-               Printf.sprintf "%.2f/%.2f" w.w_stretch_mean w.w_stretch_p99;
-               Report.ms w.w_repair_ms;
-               string_of_int w.w_repushed;
-             ])
-           sr.sr_waves)
-       results);
-  List.iter
-    (fun sr ->
-      if sr.sr_partitioned then
-        Report.note
-          (Printf.sprintf "%s/%s: partitioned after %d waves (%d cables)" sr.sr_topo
-             (schedule_name sr.sr_sched)
-             (List.length sr.sr_waves)
-             (match List.rev sr.sr_waves with
-             | w :: _ -> w.w_cum_cut
-             | [] -> 0)))
-    results;
-  let trials = if !quick then 6 else 16 in
-  let locs = List.map (fun (name, built) -> localization_trials ~topo_name:name built ~trials) topos in
-  Report.table
-    ~headers:[ "topology"; "trials"; "exact"; "accuracy"; "probes (mean/p99)"; "batches" ]
-    (List.map
-       (fun l ->
-         [
-           l.l_topo;
-           string_of_int l.l_trials;
-           string_of_int l.l_exact;
-           (if l.l_trials = 0 then "-"
-            else Report.pct (100. *. float_of_int l.l_exact /. float_of_int l.l_trials));
-           Printf.sprintf "%.1f/%.0f" l.l_probes_mean l.l_probes_p99;
-           Printf.sprintf "%.2f" l.l_batches_mean;
-         ])
-       locs);
-  write_json results locs;
-  Report.note (Printf.sprintf "wrote %s" json_path);
-  if !quick then begin
-    let bad_waves =
-      List.filter
-        (fun sr ->
-          match sr.sr_waves with
-          | w :: _ -> w.w_reach_pct < 100.
-          | [] -> true)
-        results
-    in
-    List.iter
-      (fun sr ->
-        Printf.printf "SURVIVABILITY REGRESSION: %s/%s loses reachability in wave 1\n" sr.sr_topo
-          (schedule_name sr.sr_sched))
-      bad_waves;
-    let bad_locs = List.filter (fun l -> l.l_trials = 0 || l.l_exact < l.l_trials) locs in
-    List.iter
-      (fun l ->
-        Printf.printf
-          "SURVIVABILITY REGRESSION: localization on %s at %d/%d exact (expected 100%%)\n"
-          l.l_topo l.l_exact l.l_trials)
-      bad_locs;
-    if bad_waves <> [] || bad_locs <> [] then exit 1
-  end
+  let trials = if !Bench_util.quick then 6 else 16 in
+  let locs =
+    List.map (fun (name, built) -> localization_trials ~topo_name:name built ~trials) topos
+  in
+  let r = { quick = !Bench_util.quick; schedules; locs } in
+  Table.print (waves_table r);
+  Table.print (localization_table r);
+  Bench_util.write_reports [ (json_path, Bench_util.json_to_string (json r)) ];
+  Bench_util.enforce ~prefix:"SURVIVABILITY REGRESSION" (gates r)

@@ -9,6 +9,11 @@ let add_row t row =
   let padded = row @ List.init (width - n) (fun _ -> "") in
   t.rows <- padded :: t.rows
 
+let of_rows headers rows =
+  let t = create headers in
+  List.iter (add_row t) rows;
+  t
+
 let render t =
   let rows = List.rev t.rows in
   let all = t.headers :: rows in
@@ -36,3 +41,8 @@ let render t =
   Buffer.contents buf
 
 let print t = print_string (render t)
+
+let markdown t =
+  let line cells = "| " ^ String.concat " | " cells ^ " |\n" in
+  let rule = List.mapi (fun i _ -> if i = 0 then "---" else "---:") t.headers in
+  String.concat "" (line t.headers :: ("|" ^ String.concat "|" rule ^ "|\n") :: List.rev_map line t.rows)

@@ -154,11 +154,11 @@ let test_r7_domain_primitives () =
   check Alcotest.int "nothing else" 4 (List.length diags)
 
 let test_r7_sim_shard_path_fenced () =
-  (* The sharded engine lives in lib/sim and schedules its shards through
-     Pool — the fence must keep applying there, so the same primitives
-     attributed to that path are all still flagged. *)
-  let diags, _ = lint_fixture "r7_domain.ml" ~file:"lib/sim/sharded.ml" in
-  check Alcotest.int "sharded engine not exempt" 4 (count "R7" diags)
+  (* lib/sim is not exempt from R7: only the pool module may touch raw
+     domain primitives, so the same source attributed to the simulator
+     is flagged exactly as elsewhere. *)
+  let diags, _ = lint_fixture "r7_domain.ml" ~file:"lib/sim/network.ml" in
+  check Alcotest.int "lib/sim not exempt" 4 (count "R7" diags)
 
 let test_r7_pool_module_exempt () =
   (* The same source attributed to the pool module itself: that is the

@@ -168,7 +168,7 @@ module Scale = Dumbnet_experiments.Scale
    in the same process: jellyfish-64 alone and right after the much
    bigger fat-tree k=16 agree within 5%. *)
 let test_scale_memory_independent_of_order () =
-  Scale.quick := true;
+  Dumbnet_experiments.Bench_util.quick := true;
   let point name =
     match List.find_opt (fun pt -> pt.Scale.pt_name = name) Scale.points with
     | Some pt -> pt
