@@ -224,10 +224,10 @@ let hops_run spec seed frames =
       let st = Dumbnet.Sim.Network.stats net in
       Printf.printf
         "host tx:        %d\nhost rx:        %d\nswitch hops:    %d\n\
-         queue drops:    %d\ndataplane drops:%d\nbytes delivered:%d\n\
+         queue drops:    %d\ndataplane drops:%d\nnic drops:      %d\nbytes delivered:%d\n\
          events:         %d\nwall time:      %.3f s\nhops/sec:       %.0f\n"
         st.Dumbnet.Sim.Network.host_tx st.host_rx st.switch_hops st.queue_drops
-        st.dataplane_drops st.bytes_delivered
+        st.dataplane_drops st.nic_drops st.bytes_delivered
         (Dumbnet.Sim.Engine.events_processed eng)
         dt
         (float_of_int st.switch_hops /. dt);

@@ -71,7 +71,7 @@ let default_config =
     constants_module = "constants.ml";
     poly_type_denylist = [ "Frame.t"; "Graph.t"; "Pathgraph.t"; "Adjacency.t" ];
     poly_var_denylist = [ "frame"; "frame'"; "pathgraph" ];
-    callback_registrars = [ "schedule"; "schedule_at"; "schedule_daemon" ];
+    callback_registrars = [ "schedule"; "schedule_at"; "schedule_daemon"; "schedule_line" ];
     result_fn_suffixes = [ "_result" ];
     domain_pool_files = [ "lib/util/pool.ml" ];
     max_waivers = 5;

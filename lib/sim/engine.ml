@@ -1,25 +1,43 @@
 (* The pending-event queue is the simulator's hottest structure: every
    switch hop pushes and pops at least one event, and each data frame
-   waits in it through two ~0.56 ms host-stack latencies, so tens of
-   thousands of events are pending at once. It is a binary min-heap
-   whose lanes hold only ints — fire time, tie-break sequence number
-   (insertion order, with the daemon flag in the low bit so it never
-   reorders) and the index of the event's closure in a slot table. A
-   sift moves ints through a hole, one write per lane per level, with
-   no write barrier and no comparison closure. A closure is written
+   waits through two ~0.56 ms host-stack latencies, so tens of
+   thousands of events are pending at once.
+
+   Events wait in one of two places, both holding only ints: a
+   (key, seq) pair per event — fire time, and a packed sequence word
+   of insertion order, daemon flag and the index of the event's
+   closure in a slot table. The heap is a binary min-heap over one int
+   array with each pair side by side; a sift moves ints through a
+   hole, two writes per level, with no write barrier and no comparison
+   closure. A delay line is a FIFO ring of pairs for events that all
+   wait the same delay: the clock never goes back, so their due times
+   only increase and the ring stays sorted without sifting. [run] fires
+   the smallest pair among the heap root and the line heads, so where
+   an event waits never changes when it fires. A closure is written
    into its slot once on push and cleared once on pop; freed slots are
-   recycled through a stack. Order: fire time ascending, then insertion
-   order (FIFO among equal times). *)
+   recycled through a stack. Order: fire time ascending, then
+   insertion order (FIFO among equal times). *)
 
 let dummy_fn () = ()
 
+(* seq = ((insertion lsl 1) lor daemon) lsl slot_bits lor slot. The
+   slot bits never decide an order: insertion numbers are unique. *)
+let slot_bits = 24
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let daemon_bit = 1 lsl slot_bits
+
+let max_slots = 1 lsl slot_bits
+
+(* Insertions whose packed word still fits a non-negative int. *)
+let max_insertion = 1 lsl (Sys.int_size - 2 - slot_bits)
+
 type t = {
   mutable clock : int;
-  (* heap lanes, indexed by heap position *)
-  mutable keys : int array; (* fire time, ns *)
-  mutable seqs : int array; (* (insertion order lsl 1) lor daemon bit *)
-  mutable slots : int array; (* the event's index into [fns] *)
+  mutable heap : int array; (* position i: fire time at 2i, seq at 2i+1 *)
   mutable size : int;
+  mutable lines : line array;
   (* slot table, indexed by slot *)
   mutable fns : (unit -> unit) array;
   mutable free : int array; (* free slots, [free.(0 .. nfree-1)] *)
@@ -29,15 +47,25 @@ type t = {
   mutable regular : int; (* pending non-daemon events *)
 }
 
+(* One delay's FIFO: entry [i] is [ring.(2i)] (fire time) and
+   [ring.(2i+1)] (packed sequence word); [mask + 1] entries fit. *)
+and line = {
+  eng : t;
+  delay : int;
+  mutable ring : int array;
+  mutable mask : int;
+  mutable head : int;
+  mutable len : int;
+}
+
 let initial_capacity = 16
 
 let create () =
   {
     clock = 0;
-    keys = Array.make initial_capacity 0;
-    seqs = Array.make initial_capacity 0;
-    slots = Array.make initial_capacity 0;
+    heap = Array.make (2 * initial_capacity) 0;
     size = 0;
+    lines = [||];
     fns = Array.make initial_capacity dummy_fn;
     free = Array.init initial_capacity (fun i -> initial_capacity - 1 - i);
     nfree = initial_capacity;
@@ -48,80 +76,97 @@ let create () =
 
 let now t = t.clock
 
-(* Only called when every slot is taken (size = capacity), so the new
-   free slots are exactly the new upper half. *)
-let grow t =
-  let cap = Array.length t.keys in
+let[@dumbnet.hot] extend a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Only called when every slot is taken, so the new free slots are
+   exactly the new upper half. *)
+let[@dumbnet.hot] grow_slots t =
+  let cap = Array.length t.fns in
+  if 2 * cap > max_slots then invalid_arg "Engine: more than 2^24 pending events";
   let new_cap = 2 * cap in
-  let extend a fill =
-    let b = Array.make new_cap fill in
-    Array.blit a 0 b 0 cap;
-    b
-  in
-  t.keys <- extend t.keys 0;
-  t.seqs <- extend t.seqs 0;
-  t.slots <- extend t.slots 0;
-  t.fns <- extend t.fns dummy_fn;
+  t.fns <- extend t.fns new_cap dummy_fn;
   t.free <- Array.init new_cap (fun i -> if i < cap then new_cap - 1 - i else 0);
   t.nfree <- cap
 
-(* Walk a hole at [i] towards the root while the parent orders after
-   (key, seq), shifting each such parent down into the hole; returns
-   where (key, seq) belongs. The lanes are annotated [int array] so the
-   comparisons compile to machine compares, not [caml_lessthan]. *)
-let[@dumbnet.hot] rec hole_up (keys : int array) (seqs : int array) (slots : int array) i
-    (key : int) (seq : int) =
+let[@dumbnet.hot] grow_heap t = t.heap <- extend t.heap (2 * Array.length t.heap) 0
+
+(* Store [fn] in a free slot and return the event's packed sequence
+   word. *)
+let[@dumbnet.hot] take_slot t ~daemon fn =
+  if t.nfree = 0 then grow_slots t;
+  let n = t.next_seq in
+  if n >= max_insertion then invalid_arg "Engine: insertion counter overflow";
+  t.next_seq <- n + 1;
+  if not daemon then t.regular <- t.regular + 1;
+  t.nfree <- t.nfree - 1;
+  let slot = t.free.(t.nfree) in
+  t.fns.(slot) <- fn;
+  ((((n lsl 1) lor if daemon then 1 else 0) lsl slot_bits) lor slot)
+
+(* Hand back the closure of a popped event and recycle its slot. *)
+let[@dumbnet.hot] release t seq =
+  let slot = seq land slot_mask in
+  let fn = t.fns.(slot) in
+  t.fns.(slot) <- dummy_fn;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
+  if seq land daemon_bit = 0 then t.regular <- t.regular - 1;
+  fn
+
+(* Walk a hole at position [i] towards the root while the parent orders
+   after (key, seq), shifting each such parent down into the hole;
+   returns where (key, seq) belongs. The heap is annotated [int array]
+   so the comparisons compile to machine compares, not
+   [caml_lessthan]. *)
+let[@dumbnet.hot] rec hole_up (h : int array) i (key : int) (seq : int) =
   if i = 0 then 0
   else begin
     let parent = (i - 1) / 2 in
-    let pk = keys.(parent) in
-    if key < pk || (key = pk && seq < seqs.(parent)) then begin
-      keys.(i) <- pk;
-      seqs.(i) <- seqs.(parent);
-      slots.(i) <- slots.(parent);
-      hole_up keys seqs slots parent key seq
+    let pk = h.(2 * parent) in
+    if key < pk || (key = pk && seq < h.((2 * parent) + 1)) then begin
+      h.(2 * i) <- pk;
+      h.((2 * i) + 1) <- h.((2 * parent) + 1);
+      hole_up h parent key seq
     end
     else i
   end
 
-(* Walk a hole at [i] towards the leaves of an [n]-element heap while
-   the smaller child orders before (key, seq), shifting it up into the
-   hole; returns where (key, seq) belongs. *)
-let[@dumbnet.hot] rec hole_down (keys : int array) (seqs : int array) (slots : int array) n
-    i (key : int) (seq : int) =
+(* Walk a hole at position [i] towards the leaves of an [n]-element
+   heap while the smaller child orders before (key, seq), shifting it
+   up into the hole; returns where (key, seq) belongs. *)
+let[@dumbnet.hot] rec hole_down (h : int array) n i (key : int) (seq : int) =
   let l = (2 * i) + 1 in
   if l >= n then i
   else begin
     let r = l + 1 in
     let c =
-      if r < n && (keys.(r) < keys.(l) || (keys.(r) = keys.(l) && seqs.(r) < seqs.(l))) then r
+      if
+        r < n
+        && (h.(2 * r) < h.(2 * l) || (h.(2 * r) = h.(2 * l) && h.((2 * r) + 1) < h.((2 * l) + 1)))
+      then r
       else l
     in
-    let ck = keys.(c) in
-    if ck < key || (ck = key && seqs.(c) < seq) then begin
-      keys.(i) <- ck;
-      seqs.(i) <- seqs.(c);
-      slots.(i) <- slots.(c);
-      hole_down keys seqs slots n c key seq
+    let ck = h.(2 * c) in
+    if ck < key || (ck = key && h.((2 * c) + 1) < seq) then begin
+      h.(2 * i) <- ck;
+      h.((2 * i) + 1) <- h.((2 * c) + 1);
+      hole_down h n c key seq
     end
     else i
   end
 
 let[@dumbnet.hot] push t at ~daemon fn =
-  let seq = (t.next_seq lsl 1) lor if daemon then 1 else 0 in
-  t.next_seq <- t.next_seq + 1;
-  if not daemon then t.regular <- t.regular + 1;
-  if t.size = Array.length t.keys then grow t;
-  t.nfree <- t.nfree - 1;
-  let slot = t.free.(t.nfree) in
-  t.fns.(slot) <- fn;
-  let i = hole_up t.keys t.seqs t.slots t.size at seq in
-  t.keys.(i) <- at;
-  t.seqs.(i) <- seq;
-  t.slots.(i) <- slot;
+  let seq = take_slot t ~daemon fn in
+  if 2 * t.size = Array.length t.heap then grow_heap t;
+  let i = hole_up t.heap t.size at seq in
+  t.heap.(2 * i) <- at;
+  t.heap.((2 * i) + 1) <- seq;
   t.size <- t.size + 1
 
-let schedule t ~delay_ns f =
+let[@dumbnet.hot] schedule t ~delay_ns f =
   if delay_ns < 0 then invalid_arg "Engine.schedule: negative delay";
   push t (t.clock + delay_ns) ~daemon:false f
 
@@ -133,26 +178,65 @@ let schedule_daemon t ~delay_ns f =
   if delay_ns < 0 then invalid_arg "Engine.schedule_daemon: negative delay";
   push t (t.clock + delay_ns) ~daemon:true f
 
-(* Remove the root and return its closure; the caller has checked the
-   heap is non-empty and read the root's key. *)
-let[@dumbnet.hot] pop_fn t =
-  let keys = t.keys and seqs = t.seqs and slots = t.slots in
-  let slot = slots.(0) in
-  let fn = t.fns.(slot) in
-  t.fns.(slot) <- dummy_fn;
-  t.free.(t.nfree) <- slot;
-  t.nfree <- t.nfree + 1;
-  if seqs.(0) land 1 = 0 then t.regular <- t.regular - 1;
+let line t ~delay_ns =
+  if delay_ns < 0 then invalid_arg "Engine.line: negative delay";
+  match Array.find_opt (fun l -> l.delay = delay_ns) t.lines with
+  | Some l -> l
+  | None ->
+    let l =
+      {
+        eng = t;
+        delay = delay_ns;
+        ring = Array.make (2 * initial_capacity) 0;
+        mask = initial_capacity - 1;
+        head = 0;
+        len = 0;
+      }
+    in
+    t.lines <- Array.append t.lines [| l |];
+    l
+
+(* Only called when the ring is full: unwrap it into twice the room. *)
+let[@dumbnet.hot] grow_line l =
+  let cap = l.mask + 1 in
+  let ring = Array.make (4 * cap) 0 in
+  let first = cap - l.head in
+  Array.blit l.ring (2 * l.head) ring 0 (2 * first);
+  Array.blit l.ring 0 ring (2 * first) (2 * l.head);
+  l.ring <- ring;
+  l.mask <- (2 * cap) - 1;
+  l.head <- 0
+
+let[@dumbnet.hot] schedule_line l f =
+  let t = l.eng in
+  let seq = take_slot t ~daemon:false f in
+  if l.len > l.mask then grow_line l;
+  let i = 2 * ((l.head + l.len) land l.mask) in
+  l.ring.(i) <- t.clock + l.delay;
+  l.ring.(i + 1) <- seq;
+  l.len <- l.len + 1
+
+(* Remove the heap root and return its closure; the caller has checked
+   the heap is non-empty and read the root's key. *)
+let[@dumbnet.hot] pop_heap t =
+  let h = t.heap in
+  let seq = h.(1) in
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
-    let key = keys.(n) and seq = seqs.(n) and last = slots.(n) in
-    let i = hole_down keys seqs slots n 0 key seq in
-    keys.(i) <- key;
-    seqs.(i) <- seq;
-    slots.(i) <- last
+    let key = h.(2 * n) and last = h.((2 * n) + 1) in
+    let i = hole_down h n 0 key last in
+    h.(2 * i) <- key;
+    h.((2 * i) + 1) <- last
   end;
-  fn
+  release t seq
+
+(* Same for the head of a non-empty line. *)
+let[@dumbnet.hot] pop_line t l =
+  let seq = l.ring.((2 * l.head) + 1) in
+  l.head <- (l.head + 1) land l.mask;
+  l.len <- l.len - 1;
+  release t seq
 
 let[@dumbnet.hot] run ?until_ns t =
   let bounded, limit =
@@ -163,13 +247,33 @@ let[@dumbnet.hot] run ?until_ns t =
   let continue = ref true in
   while !continue do
     (* Without a time bound, stop when only daemons remain. *)
-    if t.size = 0 || ((not bounded) && t.regular = 0) then continue := false
+    if (not bounded) && t.regular = 0 then continue := false
     else begin
-      let at = t.keys.(0) in
-      if at > limit then continue := false
+      (* The earliest (key, seq) among the heap root (source -1) and
+         the line heads (source = line index); -2 while none is seen. *)
+      let src = ref (-2) and at = ref 0 and seq = ref 0 in
+      if t.size > 0 then begin
+        src := -1;
+        at := t.heap.(0);
+        seq := t.heap.(1)
+      end;
+      let lines = t.lines in
+      for i = 0 to Array.length lines - 1 do
+        let l = lines.(i) in
+        if l.len > 0 then begin
+          let h = 2 * l.head in
+          let k = l.ring.(h) and s = l.ring.(h + 1) in
+          if !src = -2 || k < !at || (k = !at && s < !seq) then begin
+            src := i;
+            at := k;
+            seq := s
+          end
+        end
+      done;
+      if !src = -2 || !at > limit then continue := false
       else begin
-        let fn = pop_fn t in
-        if at > t.clock then t.clock <- at;
+        let fn = if !src = -1 then pop_heap t else pop_line t lines.(!src) in
+        if !at > t.clock then t.clock <- !at;
         t.processed <- t.processed + 1;
         fn ()
       end
@@ -177,7 +281,7 @@ let[@dumbnet.hot] run ?until_ns t =
   done;
   if bounded && t.clock < limit then t.clock <- limit
 
-let pending t = t.size
+let pending t = Array.fold_left (fun n l -> n + l.len) t.size t.lines
 
 let pending_regular t = t.regular
 

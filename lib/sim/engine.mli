@@ -1,7 +1,14 @@
-(** Discrete-event engine: a nanosecond clock and a pending-event heap.
-    Events scheduled for the same instant run in scheduling order. *)
+(** Discrete-event engine: a nanosecond clock, a pending-event heap and
+    fixed-delay lines. Events scheduled for the same instant run in
+    scheduling order, wherever they wait. *)
 
 type t
+
+type line
+(** A FIFO for events that all wait the same delay — the host NIC
+    stack's transmit and receive latencies. Its due times only
+    increase, so it needs no heap; an event on a line fires exactly
+    when it would have fired on the heap. *)
 
 val create : unit -> t
 
@@ -21,6 +28,14 @@ val schedule_daemon : t -> delay_ns:int -> (unit -> unit) -> unit
     run-to-idle loop forever). Daemons scheduled before pending regular
     events still fire in time order. *)
 
+val line : t -> delay_ns:int -> line
+(** The engine's line for this delay, made on first use (one per
+    distinct delay). Raises [Invalid_argument] on a negative delay. *)
+
+val schedule_line : line -> (unit -> unit) -> unit
+(** [schedule_line l f] is [schedule eng ~delay_ns f] for [l]'s engine
+    and delay, in the same order as the heap events around it. *)
+
 val run : ?until_ns:int -> t -> unit
 (** Processes events until no non-daemon events remain. With
     [until_ns], all events (daemons included) up to that time run
@@ -29,5 +44,6 @@ val run : ?until_ns:int -> t -> unit
 val pending_regular : t -> int
 
 val pending : t -> int
+(** Events waiting on the heap and on every line, daemons included. *)
 
 val events_processed : t -> int

@@ -32,6 +32,7 @@ type stats = {
   mutable int_stamped : int;
   mutable silent_drops : int;
   mutable probe_mirrors : int;
+  mutable nic_drops : int;
 }
 
 (* An injected forwarding-plane fault on one egress direction: the link
@@ -63,11 +64,22 @@ type egress = {
   mutable bytes : int;
 }
 
+(* Where a host is plugged in, with a link-state reader sharing its
+   switch's port table (so it stays current across flaps). *)
+type access = {
+  at : link_end;
+  port_up : port -> bool;
+}
+
 type host_state = {
   mutable nic : Nic.mode;
+  (* the engine's lines for [nic]'s transmit and receive latencies *)
+  mutable tx_line : Engine.line;
+  mutable rx_line : Engine.line;
   mutable handler : (Frame.t -> unit) option;
   mutable next_tx : int; (* earliest time the NIC may emit again *)
   out : egress;
+  mutable access : access option; (* as of [wiring_gen]; [None] detached *)
 }
 
 (* What is cabled at a switch port, resolved once per wiring change so
@@ -94,8 +106,8 @@ type t = {
   g : Graph.t;
   config : config;
   switches : sw_state option array; (* by switch id; ids may be sparse *)
-  mutable wiring_gen : int; (* Graph.wiring_generation the targets match *)
-  hosts : (host_id, host_state) Hashtbl.t;
+  hosts : host_state option array; (* by host id *)
+  mutable wiring_gen : int; (* Graph.wiring_generation targets and accesses match *)
   monitors : (switch_id, Monitor.t) Hashtbl.t;
   faults : (link_end, fault_state) Hashtbl.t;
   stats : stats;
@@ -123,7 +135,12 @@ let target_array g sw =
 let[@dumbnet.hot] switch_state t sw =
   if sw >= 0 && sw < Array.length t.switches then t.switches.(sw) else None
 
-let refresh_targets t =
+let[@dumbnet.hot] host_access g h =
+  match Graph.host_location g h with
+  | Some at -> Some { at; port_up = Graph.port_state_fn g at.sw }
+  | None -> None
+
+let[@dumbnet.hot] refresh_targets t =
   let gen = Graph.wiring_generation t.g in
   if gen <> t.wiring_gen then begin
     Array.iter
@@ -131,19 +148,24 @@ let refresh_targets t =
         | Some ss -> ss.targets <- target_array t.g ss.self
         | None -> ())
       t.switches;
+    Array.iteri
+      (fun h -> function
+        | Some hs -> hs.access <- host_access t.g h
+        | None -> ())
+      t.hosts;
     t.wiring_gen <- gen
   end
 
 let create ?(config = default_config) ~engine:eng ~graph:g () =
-  let switch_ids = Graph.switch_ids g in
+  let switch_ids = Graph.switch_ids g and host_ids = Graph.host_ids g in
   let t =
     {
       eng;
       g;
       config;
       switches = Array.make (List.fold_left max (-1) switch_ids + 1) None;
+      hosts = Array.make (List.fold_left max (-1) host_ids + 1) None;
       wiring_gen = Graph.wiring_generation g - 1; (* force the first build *)
-      hosts = Hashtbl.create 256;
       monitors = Hashtbl.create 64;
       faults = Hashtbl.create 4;
       stats =
@@ -158,6 +180,7 @@ let create ?(config = default_config) ~engine:eng ~graph:g () =
           int_stamped = 0;
           silent_drops = 0;
           probe_mirrors = 0;
+          nic_drops = 0;
         };
     }
   in
@@ -182,11 +205,23 @@ let create ?(config = default_config) ~engine:eng ~graph:g () =
             targets = [||];
           })
     switch_ids;
+  let nic = Nic.Dumbnet_agent in
+  let tx_line = Engine.line eng ~delay_ns:(Nic.tx_latency_ns nic)
+  and rx_line = Engine.line eng ~delay_ns:(Nic.rx_latency_ns nic) in
   List.iter
     (fun h ->
-      Hashtbl.replace t.hosts h
-        { nic = Nic.Dumbnet_agent; handler = None; next_tx = 0; out = fresh_egress () })
-    (Graph.host_ids g);
+      t.hosts.(h) <-
+        Some
+          {
+            nic;
+            tx_line;
+            rx_line;
+            handler = None;
+            next_tx = 0;
+            out = fresh_egress ();
+            access = None;
+          })
+    host_ids;
   refresh_targets t;
   t
 
@@ -195,14 +230,18 @@ let egress_opt t sw p =
   | Some ss when p >= 1 && p < Array.length ss.egress -> Some ss.egress.(p)
   | Some _ | None -> None
 
-let host_state t h =
-  match Hashtbl.find_opt t.hosts h with
+let[@dumbnet.hot] host_state t h =
+  match if h >= 0 && h < Array.length t.hosts then t.hosts.(h) else None with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Network: unknown host %d" h)
 
 let set_host_handler t h f = (host_state t h).handler <- Some f
 
-let set_host_nic t h mode = (host_state t h).nic <- mode
+let set_host_nic t h mode =
+  let hs = host_state t h in
+  hs.nic <- mode;
+  hs.tx_line <- Engine.line t.eng ~delay_ns:(Nic.tx_latency_ns mode);
+  hs.rx_line <- Engine.line t.eng ~delay_ns:(Nic.rx_latency_ns mode)
 
 let set_port_bandwidth t le ~gbps =
   match egress_opt t le.sw le.port with
@@ -318,17 +357,24 @@ let[@dumbnet.hot] charge t egress frame ~bytes =
     finish + t.config.propagation_ns
   end
 
-let deliver_to_host t h frame ~bytes =
+(* Through the receive stack: an unstamped frame waits the stack's
+   fixed latency on its line; parsing telemetry stamps adds a per-frame
+   amount, so a stamped frame waits on the heap. *)
+let[@dumbnet.hot] deliver_to_host t h frame ~bytes =
   let hs = host_state t h in
-  let delay =
-    Nic.rx_latency_ns hs.nic + (Nic.int_parse_ns hs.nic * Frame.stamp_count frame)
+  let deliver () =
+    t.stats.host_rx <- t.stats.host_rx + 1;
+    t.stats.bytes_delivered <- t.stats.bytes_delivered + bytes;
+    match hs.handler with
+    | Some f -> f frame
+    | None -> ()
   in
-  Engine.schedule t.eng ~delay_ns:delay (fun () ->
-      t.stats.host_rx <- t.stats.host_rx + 1;
-      t.stats.bytes_delivered <- t.stats.bytes_delivered + bytes;
-      match hs.handler with
-      | Some f -> f frame
-      | None -> ())
+  let stamps = Frame.stamp_count frame in
+  if stamps = 0 then Engine.schedule_line hs.rx_line deliver
+  else
+    Engine.schedule t.eng
+      ~delay_ns:(Nic.rx_latency_ns hs.nic + (Nic.int_parse_ns hs.nic * stamps))
+      deliver
 
 (* The INT stamp source: the very values this port's hardware already
    holds (its clock, the egress backlog the ECN/drop logic reads). *)
@@ -433,21 +479,28 @@ let flood_from t sw ~except frame =
   | None -> ()
   | Some ss -> flood t ss ~except frame
 
+(* Through the transmit stack: an idle NIC starts now, so the frame
+   waits the stack's fixed latency on its line; a busy one starts when
+   its pacing gap ends, so the frame waits on the heap. A frame whose
+   access link goes down while it is in the stack is a NIC drop. *)
 let[@dumbnet.hot] host_send t h frame =
+  refresh_targets t;
   let hs = host_state t h in
-  match Graph.host_location t.g h with
+  match hs.access with
   | None -> ()
-  | Some loc ->
-    if Graph.link_up t.g loc then begin
+  | Some acc ->
+    if acc.port_up acc.at.port then begin
       t.stats.host_tx <- t.stats.host_tx + 1;
       let now = Engine.now t.eng in
-      let gap = Nic.min_tx_gap_ns hs.nic in
       let start = if hs.next_tx > now then hs.next_tx else now in
-      hs.next_tx <- start + gap;
-      let depart = start + Nic.tx_latency_ns hs.nic in
-      Engine.schedule_at t.eng ~at_ns:depart (fun () ->
-          if Graph.link_up t.g loc then
-            send_to_switch t hs.out frame ~peer:loc.sw ~peer_in:loc.port)
+      hs.next_tx <- start + Nic.min_tx_gap_ns hs.nic;
+      let depart () =
+        if acc.port_up acc.at.port then
+          send_to_switch t hs.out frame ~peer:acc.at.sw ~peer_in:acc.at.port
+        else t.stats.nic_drops <- t.stats.nic_drops + 1
+      in
+      if start = now then Engine.schedule_line hs.tx_line depart
+      else Engine.schedule_at t.eng ~at_ns:(start + Nic.tx_latency_ns hs.nic) depart
     end
 
 (* A link transition fires both ends' hardware monitors; unsuppressed

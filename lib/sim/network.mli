@@ -37,6 +37,9 @@ type stats = {
   mutable int_stamped : int;  (** telemetry stamps appended by switches *)
   mutable silent_drops : int;  (** frames eaten by injected forwarding faults *)
   mutable probe_mirrors : int;  (** extra emissions from probe-program MIRROR ops *)
+  mutable nic_drops : int;
+      (** frames counted in [host_tx] but lost in the NIC: the access
+          link went down before the transmit stack let them out *)
 }
 
 (** An injected forwarding-plane fault on a cable: the link stays
@@ -74,7 +77,8 @@ val set_host_nic : t -> host_id -> Nic.mode -> unit
 val host_send : t -> host_id -> Frame.t -> unit
 (** Sends through the host's NIC (minimum gap + stack latency) onto its
     access link. Silently dropped if the host is detached or its link is
-    down — like a real cable pull. *)
+    down — like a real cable pull. A frame whose link goes down while it
+    is in the transmit stack counts in [host_tx] and [nic_drops]. *)
 
 val set_port_bandwidth : t -> link_end -> gbps:float -> unit
 (** Caps one egress direction (the paper rate-limits spine ports to

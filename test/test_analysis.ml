@@ -102,6 +102,10 @@ let test_r3_callback_raise () =
   | [ w ] -> check Alcotest.int "waived raise counted" 1 w.Rules.w_hits
   | ws -> Alcotest.failf "expected exactly one waiver, got %d" (List.length ws)
 
+let test_r3_line_callback_raise () =
+  let diags, _ = lint_fixture "r3_line.ml" in
+  check Alcotest.int "the naked failwith on a line flagged" 1 (count "R3" diags)
+
 (* --- R4 --- *)
 
 let test_r4_hot_advisories () =
@@ -416,7 +420,11 @@ let () =
           Alcotest.test_case "waiver suppresses" `Quick test_r1_waiver_suppresses;
         ] );
       ("r2", [ Alcotest.test_case "poly compare" `Quick test_r2_poly_compare ]);
-      ("r3", [ Alcotest.test_case "callback raise" `Quick test_r3_callback_raise ]);
+      ( "r3",
+        [
+          Alcotest.test_case "callback raise" `Quick test_r3_callback_raise;
+          Alcotest.test_case "delay-line callback raise" `Quick test_r3_line_callback_raise;
+        ] );
       ("r4", [ Alcotest.test_case "hot advisories" `Quick test_r4_hot_advisories ]);
       ( "r5",
         [

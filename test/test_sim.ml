@@ -55,6 +55,28 @@ let test_engine_until () =
   Engine.run eng;
   Alcotest.(check bool) "eventually" true !fired
 
+(* Where an event waits must not change when it fires: a heap event and
+   a line event due at the same instant fire in scheduling order. *)
+let test_engine_line_ties_heap () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  let line = Engine.line eng ~delay_ns:10 in
+  Engine.schedule_at eng ~at_ns:10 (note "heap 1");
+  Engine.schedule_line line (note "line 1");
+  Engine.schedule eng ~delay_ns:10 (note "heap 2");
+  Engine.schedule_daemon eng ~delay_ns:10 (note "daemon");
+  Engine.schedule_line line (note "line 2");
+  Alcotest.(check bool) "one line per delay" true (Engine.line eng ~delay_ns:10 == line);
+  check Alcotest.int "pending counts the line" 5 (Engine.pending eng);
+  Engine.run eng;
+  check
+    Alcotest.(list string)
+    "scheduling order"
+    [ "heap 1"; "line 1"; "heap 2"; "daemon"; "line 2" ]
+    (List.rev !log);
+  check Alcotest.int "clock" 10 (Engine.now eng)
+
 let test_engine_rejects_past () =
   let eng = Engine.create () in
   Engine.schedule eng ~delay_ns:10 (fun () -> ());
@@ -71,8 +93,10 @@ let test_engine_rejects_past () =
      with Invalid_argument _ -> true)
 
 (* A random schedule tree: every node is one [schedule] (kind 0),
-   [schedule_at] (kind 1) or [schedule_daemon] (kind 2) call with a
-   small delay, so many events share a fire time; its children are
+   [schedule_at] (kind 1), [schedule_daemon] (kind 2) or
+   [schedule_line] (kind 3, on the engine's line for a delay of 0, 2
+   or 4) call with a small delay, so many events share a fire time —
+   line events tie with heap events and daemons; its children are
    issued from inside the node's event when it fires. *)
 type sched_op = {
   id : int;
@@ -84,8 +108,8 @@ type sched_op = {
 let sched_forest_gen =
   let open QCheck.Gen in
   let rec tree depth =
-    int_bound 2 >>= fun kind ->
-    int_bound 4 >>= fun delay ->
+    int_bound 3 >>= fun kind ->
+    (if kind = 3 then oneofl [ 0; 2; 4 ] else int_bound 4) >>= fun delay ->
     (if depth = 0 then return []
      else list_size (frequency [ (3, return 0); (2, int_range 1 3) ]) (tree (depth - 1)))
     >>= fun children -> return { id = 0; kind; delay; children }
@@ -107,7 +131,8 @@ let rec pp_sched_op op =
     (match op.kind with
     | 0 -> 's'
     | 1 -> 'a'
-    | _ -> 'd')
+    | 2 -> 'd'
+    | _ -> 'l')
     op.delay
     (String.concat " " (List.map pp_sched_op op.children))
 
@@ -125,7 +150,8 @@ let engine_trace forest runs =
     match op.kind with
     | 0 -> Engine.schedule eng ~delay_ns:op.delay fire
     | 1 -> Engine.schedule_at eng ~at_ns:(Engine.now eng + op.delay) fire
-    | _ -> Engine.schedule_daemon eng ~delay_ns:op.delay fire
+    | 2 -> Engine.schedule_daemon eng ~delay_ns:op.delay fire
+    | _ -> Engine.schedule_line (Engine.line eng ~delay_ns:op.delay) fire
   in
   List.iter issue forest;
   List.iter
@@ -379,6 +405,101 @@ let test_send_on_dead_access_link () =
   Engine.run eng;
   check Alcotest.int "nothing delivered" 0 !delivered
 
+(* The frame is already in host 0's transmit stack when its access link
+   fails: counted as sent, never delivered, so it must be counted as a
+   NIC drop. The only frame host 1 sees is the port-down notice. *)
+let test_nic_drop_at_departure () =
+  let _, eng, net = two_hosts () in
+  let delivered = ref 0 in
+  Network.set_host_handler net 1 (fun f ->
+      match f.Frame.payload with
+      | Payload.Data _ -> incr delivered
+      | _ -> ());
+  send_one net ~src:0 ~dst:1 ~size:1000;
+  (match Graph.host_location (Network.graph net) 0 with
+  | Some le -> Engine.schedule eng ~delay_ns:1_000 (fun () -> Network.fail_link net le)
+  | None -> Alcotest.fail "host detached");
+  Engine.run eng;
+  let st = Network.stats net in
+  check Alcotest.int "host_tx" 1 st.Network.host_tx;
+  check Alcotest.int "no data delivered" 0 !delivered;
+  check Alcotest.int "host_rx is the notice" 1 st.Network.host_rx;
+  check Alcotest.int "nic_drops" 1 st.Network.nic_drops;
+  check Alcotest.int "no other drop" 0
+    (st.Network.queue_drops + st.Network.dataplane_drops + st.Network.silent_drops)
+
+(* Host 0 moves from leaf A to leaf B's free port between two sends:
+   the second send must enter the fabric at the new port. *)
+let test_host_moved () =
+  let b = Builder.leaf_spine ~spines:1 ~leaves:2 ~hosts_per_leaf:2 () in
+  let g = b.Builder.graph in
+  let eng = Engine.create () in
+  let net = Network.create ~engine:eng ~graph:g () in
+  let loc h =
+    match Graph.host_location g h with
+    | Some le -> le
+    | None -> Alcotest.fail "host detached"
+  in
+  let a = loc 0 and peer = loc 1 and dst = loc 2 and freed = loc 3 in
+  Alcotest.(check bool) "hosts 0, 1 share a leaf" true (a.sw = peer.sw && a.sw <> dst.sw);
+  let got = Array.make 3 0 in
+  List.iter
+    (fun h -> Network.set_host_handler net h (fun _ -> got.(h) <- got.(h) + 1))
+    [ 1; 2 ];
+  let send tag dst =
+    Network.host_send net 0
+      (Frame.along_path ~src:0 ~dst ~tags_of:[ tag ] ~payload:(data 500))
+  in
+  send peer.port 1;
+  Engine.run eng;
+  check Alcotest.int "first send to the old neighbour" 1 got.(1);
+  Graph.remove_link g freed;
+  Graph.remove_link g a;
+  Graph.attach_host g 0 freed;
+  (* One tag: out of leaf B's port to host 2. Entering at the old leaf
+     it would leave by an empty port. *)
+  send dst.port 2;
+  Engine.run eng;
+  check Alcotest.int "second send through the new port" 1 got.(2);
+  check Alcotest.int "entered leaf B at the freed port" 1
+    (fst (Network.port_counters net dst));
+  check Alcotest.int "no drops" 0 (Network.stats net).Network.dataplane_drops
+
+(* The delivery time of a 1000-byte frame sent at [send_ns] by host 0
+   in [tx] mode to host 1 in [Dumbnet_agent] mode. *)
+let delivery_ns ~tx ~send_ns =
+  let _, eng, net = two_hosts () in
+  let at = ref (-1) in
+  Network.set_host_handler net 1 (fun _ -> at := Engine.now eng);
+  Network.set_host_nic net 0 tx;
+  Engine.schedule_at eng ~at_ns:send_ns (fun () -> send_one net ~src:0 ~dst:1 ~size:1000);
+  Engine.run eng;
+  !at
+
+(* Host 0 sends one frame through the DumbNet stack, switches its NIC to
+   the native stack and sends again 10 us later: the second frame rides
+   the 15 us transmit line and overtakes the first. Each frame arrives
+   exactly when it does alone on an idle fabric, i.e. in the order and
+   at the times one time-ordered heap gives. *)
+let test_nic_mode_switch () =
+  let slow = delivery_ns ~tx:Nic.Dumbnet_agent ~send_ns:0
+  and fast = delivery_ns ~tx:Nic.Native ~send_ns:10_000 in
+  check Alcotest.int "native tx is quicker by the stacks' difference"
+    (Nic.tx_latency_ns Nic.Dumbnet_agent - Nic.tx_latency_ns Nic.Native - 10_000)
+    (slow - fast);
+  let _, eng, net = two_hosts () in
+  let log = ref [] in
+  Network.set_host_handler net 1 (fun f ->
+      match f.Frame.payload with
+      | Payload.Data _ -> log := Engine.now eng :: !log
+      | _ -> ());
+  send_one net ~src:0 ~dst:1 ~size:1000;
+  Engine.schedule_at eng ~at_ns:10_000 (fun () ->
+      Network.set_host_nic net 0 Nic.Native;
+      send_one net ~src:0 ~dst:1 ~size:1000);
+  Engine.run eng;
+  check Alcotest.(list int) "native frame first, both on time" [ fast; slow ] (List.rev !log)
+
 let test_daemon_events_do_not_block_run () =
   let eng = Engine.create () in
   let beats = ref 0 in
@@ -510,6 +631,7 @@ let () =
           Alcotest.test_case "cascading" `Quick test_engine_cascading;
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
+          Alcotest.test_case "line ties heap" `Quick test_engine_line_ties_heap;
           QCheck_alcotest.to_alcotest engine_model_prop;
         ] );
       ( "network",
@@ -518,6 +640,9 @@ let () =
           Alcotest.test_case "nic pacing" `Quick test_nic_gap_paces;
           Alcotest.test_case "queue drops" `Quick test_queue_drops_under_overload;
           Alcotest.test_case "fail_link notices" `Quick test_fail_link_emits_notices;
+          Alcotest.test_case "nic drop at departure" `Quick test_nic_drop_at_departure;
+          Alcotest.test_case "host moved" `Quick test_host_moved;
+          Alcotest.test_case "nic mode switch" `Quick test_nic_mode_switch;
           Alcotest.test_case "restore link" `Quick test_restore_link;
           Alcotest.test_case "dead access link" `Quick test_send_on_dead_access_link;
           Alcotest.test_case "port bandwidth cap" `Quick test_port_bandwidth_cap;
