@@ -216,19 +216,30 @@ let simulate_cmd =
 module Perf = Dumbnet_experiments.Perf
 
 (* Every host bursts [frames] frames along one random source route; the
-   drain is the one `bench perf`'s net_drain rows time. *)
+   drain is the one `bench perf`'s net_drain rows time. The digest pins
+   the delivery order: each delivery's host, time and wire bytes, hashed
+   after the timed drain. *)
 let hops_run spec seed frames =
   with_topology spec seed (fun built ->
       let routes = Perf.sim_routes ~seed:(seed + 1) built in
-      let eng, net, dt, _ = Perf.net_drain built routes ~frames_per_host:frames in
+      let delivered = ref [] in
+      let on_deliver ~now h frame = delivered := (now, h, frame) :: !delivered in
+      let eng, net, dt, _ = Perf.net_drain ~on_deliver built routes ~frames_per_host:frames in
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun (now, h, frame) ->
+          Printf.bprintf buf "%d@%d:" h now;
+          Buffer.add_bytes buf (Dumbnet.Packet.Frame.to_bytes frame))
+        (List.rev !delivered);
       let st = Dumbnet.Sim.Network.stats net in
       Printf.printf
         "host tx:        %d\nhost rx:        %d\nswitch hops:    %d\n\
          queue drops:    %d\ndataplane drops:%d\nnic drops:      %d\nbytes delivered:%d\n\
-         events:         %d\nwall time:      %.3f s\nhops/sec:       %.0f\n"
+         events:         %d\ndelivery digest:%s\nwall time:      %.3f s\nhops/sec:       %.0f\n"
         st.Dumbnet.Sim.Network.host_tx st.host_rx st.switch_hops st.queue_drops
         st.dataplane_drops st.nic_drops st.bytes_delivered
         (Dumbnet.Sim.Engine.events_processed eng)
+        (String.sub (Digest.to_hex (Digest.string (Buffer.contents buf))) 0 16)
         dt
         (float_of_int st.switch_hops /. dt);
       0)

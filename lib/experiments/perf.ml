@@ -73,9 +73,10 @@ let net_drain_before : (string * float) list =
   ]
 
 (* Minor words per hop the Engine + Network drain may allocate: measured
-   26.5–28.2, budget ~1.5x. A hop allocates the dataplane's frame copy
-   (tag pop), its [Forward] action and the one arrival closure. *)
-let net_drain_words_budget = 42.
+   14.0–16.6, budget ~1.5x. A hop allocates the one arrival closure,
+   which carries the tag cursor; a delivered frame is rebuilt once with
+   its remaining tag. *)
+let net_drain_words_budget = 25.
 
 (* --- path-graph computations/sec ------------------------------------- *)
 
@@ -269,10 +270,17 @@ let net_drain_metric_name topo = Printf.sprintf "net_drain_hops_per_sec_%s" topo
    frames to [Network.host_send] off the clock (NIC pacing schedules
    them); only [Engine.run] to quiescence is timed. Returns the engine,
    the network, the drain's wall seconds and the minor words it
-   allocated. `dumbnet hops` prints one such drain. *)
-let net_drain built routes ~frames_per_host =
+   allocated. `dumbnet hops` prints one such drain, with [on_deliver]
+   seeing every frame a host receives and when. *)
+let net_drain ?on_deliver built routes ~frames_per_host =
   let eng = Engine.create () in
   let net = Network.create ~engine:eng ~graph:built.Builder.graph () in
+  Option.iter
+    (fun f ->
+      List.iter
+        (fun h -> Network.set_host_handler net h (fun frame -> f ~now:(Engine.now eng) h frame))
+        built.Builder.hosts)
+    on_deliver;
   List.iter
     (fun (src, dst, tags) ->
       for seq = 1 to frames_per_host do

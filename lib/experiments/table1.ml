@@ -37,7 +37,7 @@ let run () =
   | Some root ->
     let dir d = count_dir (Filename.concat root d) in
     let file d f = count_file (Filename.concat root (Filename.concat d f)) in
-    let agent = dir "host" + dir "packet" + dir "sim" in
+    let agent = dir "host" + dir "packet" in
     let disc = file "control" "discovery.ml" + file "control" "discovery.mli"
                + file "control" "probe_walk.ml" + file "control" "probe_walk.mli" in
     let maint =

@@ -54,6 +54,8 @@ let[@dumbnet.hot] add_stamp stamp t =
 
 let with_priority priority t = { t with priority }
 
+let[@dumbnet.hot] with_tags tags t = if t.tags == tags then t else { t with tags }
+
 let[@dumbnet.hot] priority_of_payload = function
   (* INT probes ride the normal lane on purpose: they must experience
      the queueing that data experiences, or the stamps lie. *)
@@ -124,19 +126,23 @@ let eth_header = Constants.eth_header_bytes
 
 let fcs = Constants.fcs_bytes
 
-let int_region_bytes t =
+let[@dumbnet.hot] int_region_bytes t =
   if t.int_enabled then 1 (* stamp count *) + (Int_stamp.wire_size * t.int_count) else 0
 
-let prog_region_bytes t =
+let[@dumbnet.hot] prog_region_bytes t =
   match t.prog with
   | Some p -> Probe_prog.wire_size p
   | None -> 0
 
-let header_bytes t =
-  eth_header + List.length t.tags + 1 (* ECN byte *) + int_region_bytes t
-  + prog_region_bytes t + fcs
+let[@dumbnet.hot] header_bytes_with t ~tag_count =
+  eth_header + tag_count + 1 (* ECN byte *) + int_region_bytes t + prog_region_bytes t + fcs
 
-let byte_size t = header_bytes t + Payload.byte_size t.payload
+let header_bytes t = header_bytes_with t ~tag_count:(List.length t.tags)
+
+let[@dumbnet.hot] byte_size_with t ~tag_count =
+  header_bytes_with t ~tag_count + Payload.byte_size t.payload
+
+let byte_size t = byte_size_with t ~tag_count:(List.length t.tags)
 
 (* MAC layout: byte 0 encodes the address class (0x02 host, 0x04 switch,
    0xFF broadcast), bytes 1-4 the 32-bit id, byte 5 zero. *)

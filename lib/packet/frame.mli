@@ -83,6 +83,10 @@ val add_stamp : Int_stamp.t -> t -> t
 
 val with_priority : priority -> t -> t
 
+val with_tags : Tag.t list -> t -> t
+(** The frame with this tag stack; the frame itself when [tags] is
+    already its stack (physically). *)
+
 val priority_of_payload : Payload.t -> priority
 (** [High] for everything except bulk [Data] and [Int_probe] (probes
     must share the data lane to measure its queueing). *)
@@ -111,6 +115,11 @@ val byte_size : t -> int
 (** Total wire size charged to links by the simulator:
     {!header_bytes} plus {!Payload.byte_size}. Pure arithmetic over
     the frame's fields — no region or payload is serialized. *)
+
+val byte_size_with : t -> tag_count:int -> int
+(** {!byte_size} of the frame with a stack of [tag_count] tags in place
+    of its own: a forwarder that pops tags with a cursor sizes the frame
+    without walking or rebuilding the stack. *)
 
 val write : Wire.Writer.t -> t -> unit
 (** Append the full on-wire form (header, regions, payload, CRC) to a

@@ -16,7 +16,16 @@
    an event waits never changes when it fires. A closure is written
    into its slot once on push and cleared once on pop; freed slots are
    recycled through a stack. Order: fire time ascending, then
-   insertion order (FIFO among equal times). *)
+   insertion order (FIFO among equal times).
+
+   A tally holds arrivals whose only effect is to be counted — a §4.2
+   notice copy that reaches a switch with its hop budget spent. They
+   need no closure and no order among themselves, so a tally is an
+   unsorted buffer of (key, seq) pairs and [run] never pops it. It
+   keeps one bound instead: while an event fires, every tally entry
+   that orders before it has fired too. A read of a count settles the
+   entries under that bound in one pass; the end of a run settles the
+   rest of what fell due (all of it, without a bound). *)
 
 let dummy_fn () = ()
 
@@ -38,6 +47,16 @@ type t = {
   mutable heap : int array; (* position i: fire time at 2i, seq at 2i+1 *)
   mutable size : int;
   mutable lines : line array;
+  mutable tallies : tally array;
+  (* Tally entries ordering at or before (due_at, due_seq) have fired;
+     due_at = -1 when none waits to be settled. *)
+  mutable due_at : int;
+  mutable due_seq : int;
+  (* The latest (key, seq) among unsettled tally entries; -1 if none. *)
+  mutable tmax_at : int;
+  mutable tmax_seq : int;
+  mutable tally_waiting : int; (* unsettled tally entries, all tallies *)
+  mutable tally_fired : int; (* settled ones, all tallies *)
   (* slot table, indexed by slot *)
   mutable fns : (unit -> unit) array;
   mutable free : int array; (* free slots, [free.(0 .. nfree-1)] *)
@@ -58,6 +77,19 @@ and line = {
   mutable len : int;
 }
 
+(* Entry [i] is [buf.(2i)] (fire time) and [buf.(2i+1)] (sequence
+   word), [i < n], in no order; [lo_at] is at most their least fire
+   time and (hi_at, hi_seq) their latest pair (-1 when empty). *)
+and tally = {
+  owner : t;
+  mutable buf : int array;
+  mutable n : int;
+  mutable lo_at : int;
+  mutable hi_at : int;
+  mutable hi_seq : int;
+  mutable fired : int;
+}
+
 let initial_capacity = 16
 
 let create () =
@@ -66,6 +98,13 @@ let create () =
     heap = Array.make (2 * initial_capacity) 0;
     size = 0;
     lines = [||];
+    tallies = [||];
+    due_at = -1;
+    due_seq = -1;
+    tmax_at = -1;
+    tmax_seq = -1;
+    tally_waiting = 0;
+    tally_fired = 0;
     fns = Array.make initial_capacity dummy_fn;
     free = Array.init initial_capacity (fun i -> initial_capacity - 1 - i);
     nfree = initial_capacity;
@@ -93,13 +132,18 @@ let[@dumbnet.hot] grow_slots t =
 
 let[@dumbnet.hot] grow_heap t = t.heap <- extend t.heap (2 * Array.length t.heap) 0
 
+(* The next insertion number. *)
+let[@dumbnet.hot] next_insertion t =
+  let n = t.next_seq in
+  if n >= max_insertion then invalid_arg "Engine: insertion counter overflow";
+  t.next_seq <- n + 1;
+  n
+
 (* Store [fn] in a free slot and return the event's packed sequence
    word. *)
 let[@dumbnet.hot] take_slot t ~daemon fn =
   if t.nfree = 0 then grow_slots t;
-  let n = t.next_seq in
-  if n >= max_insertion then invalid_arg "Engine: insertion counter overflow";
-  t.next_seq <- n + 1;
+  let n = next_insertion t in
   if not daemon then t.regular <- t.regular + 1;
   t.nfree <- t.nfree - 1;
   let slot = t.free.(t.nfree) in
@@ -216,6 +260,97 @@ let[@dumbnet.hot] schedule_line l f =
   l.ring.(i + 1) <- seq;
   l.len <- l.len + 1
 
+let tally t =
+  let tl =
+    {
+      owner = t;
+      buf = Array.make (2 * initial_capacity) 0;
+      n = 0;
+      lo_at = max_int;
+      hi_at = -1;
+      hi_seq = -1;
+      fired = 0;
+    }
+  in
+  t.tallies <- Array.append t.tallies [| tl |];
+  tl
+
+(* Fire every entry of [tl] ordering at or before (at, seq): count it
+   and drop it from the buffer. One pass, and none when the whole
+   buffer or none of it is due. *)
+let[@dumbnet.hot] settle_tally tl (at : int) (seq : int) =
+  if tl.n > 0 && tl.lo_at <= at then begin
+    let t = tl.owner in
+    let fired =
+      if tl.hi_at < at || (tl.hi_at = at && tl.hi_seq <= seq) then begin
+        let all = tl.n in
+        tl.n <- 0;
+        tl.lo_at <- max_int;
+        tl.hi_at <- -1;
+        tl.hi_seq <- -1;
+        all
+      end
+      else begin
+        let b = tl.buf in
+        let kept = ref 0 and lo = ref max_int in
+        for i = 0 to tl.n - 1 do
+          let k = b.(2 * i) and s = b.((2 * i) + 1) in
+          if not (k < at || (k = at && s <= seq)) then begin
+            b.(2 * !kept) <- k;
+            b.((2 * !kept) + 1) <- s;
+            incr kept;
+            if k < !lo then lo := k
+          end
+        done;
+        let fired = tl.n - !kept in
+        tl.n <- !kept;
+        tl.lo_at <- !lo;
+        fired
+      end
+    in
+    tl.fired <- tl.fired + fired;
+    t.tally_fired <- t.tally_fired + fired;
+    t.tally_waiting <- t.tally_waiting - fired;
+    if t.tally_waiting = 0 then begin
+      t.tmax_at <- -1;
+      t.tmax_seq <- -1
+    end
+  end
+
+(* Settle what the firing bound says has fallen due. *)
+let[@dumbnet.hot] settle_due t =
+  if t.due_at >= 0 then Array.iter (fun tl -> settle_tally tl t.due_at t.due_seq) t.tallies
+
+let[@dumbnet.hot] tally_at tl ~at_ns =
+  let t = tl.owner in
+  if at_ns < t.clock then invalid_arg "Engine.tally_at: time in the past";
+  if 2 * tl.n = Array.length tl.buf then begin
+    (* Full: first drop what has fired, then grow unless that freed
+       half the room. *)
+    settle_due t;
+    if 4 * tl.n > Array.length tl.buf then tl.buf <- extend tl.buf (2 * Array.length tl.buf) 0
+  end;
+  let seq = next_insertion t lsl (slot_bits + 1) in
+  let i = 2 * tl.n in
+  tl.buf.(i) <- at_ns;
+  tl.buf.(i + 1) <- seq;
+  tl.n <- tl.n + 1;
+  if at_ns < tl.lo_at then tl.lo_at <- at_ns;
+  (* seq is the newest insertion, so it breaks every tie. *)
+  if at_ns >= tl.hi_at then begin
+    tl.hi_at <- at_ns;
+    tl.hi_seq <- seq
+  end;
+  if at_ns >= t.tmax_at then begin
+    t.tmax_at <- at_ns;
+    t.tmax_seq <- seq
+  end;
+  t.tally_waiting <- t.tally_waiting + 1
+
+let tallied tl =
+  settle_due tl.owner;
+  tl.fired
+
 (* Remove the heap root and return its closure; the caller has checked
    the heap is non-empty and read the root's key. *)
 let[@dumbnet.hot] pop_heap t =
@@ -247,7 +382,7 @@ let[@dumbnet.hot] run ?until_ns t =
   let continue = ref true in
   while !continue do
     (* Without a time bound, stop when only daemons remain. *)
-    if (not bounded) && t.regular = 0 then continue := false
+    if (not bounded) && t.regular = 0 && t.tally_waiting = 0 then continue := false
     else begin
       (* The earliest (key, seq) among the heap root (source -1) and
          the line heads (source = line index); -2 while none is seen. *)
@@ -270,19 +405,49 @@ let[@dumbnet.hot] run ?until_ns t =
           end
         end
       done;
-      if !src = -2 || !at > limit then continue := false
+      if
+        !src = -2
+        || !at > limit
+        (* Only daemons wait on the heap and lines: they fire while a
+           tally entry orders after them. *)
+        || (not bounded)
+           && t.regular = 0
+           && not (t.tmax_at > !at || (t.tmax_at = !at && t.tmax_seq > !seq))
+      then continue := false
       else begin
         let fn = if !src = -1 then pop_heap t else pop_line t lines.(!src) in
         if !at > t.clock then t.clock <- !at;
         t.processed <- t.processed + 1;
+        t.due_at <- !at;
+        t.due_seq <- !seq - 1;
         fn ()
       end
     end
   done;
-  if bounded && t.clock < limit then t.clock <- limit
+  (* What fell due before the stop: up to the bound, or everything. *)
+  if bounded then begin
+    t.due_at <- limit;
+    t.due_seq <- max_int;
+    settle_due t;
+    if t.clock < limit then t.clock <- limit
+  end
+  else begin
+    if t.tmax_at > t.clock then t.clock <- t.tmax_at;
+    t.due_at <- max_int;
+    t.due_seq <- max_int;
+    settle_due t
+  end;
+  t.due_at <- -1;
+  t.due_seq <- -1
 
-let pending t = Array.fold_left (fun n l -> n + l.len) t.size t.lines
+let pending t =
+  settle_due t;
+  Array.fold_left (fun n l -> n + l.len) (t.size + t.tally_waiting) t.lines
 
-let pending_regular t = t.regular
+let pending_regular t =
+  settle_due t;
+  t.regular + t.tally_waiting
 
-let events_processed t = t.processed
+let events_processed t =
+  settle_due t;
+  t.processed + t.tally_fired

@@ -89,7 +89,7 @@ type host_state = {
 type link_target =
   | T_empty
   | T_host of host_id
-  | T_switch of switch_id * port (* peer switch and its ingress port *)
+  | T_switch of link_end (* the peer switch's ingress port *)
 
 (* Everything one forwarding decision needs, in one record found with a
    single array read per hop: egress state, cabling targets, and a
@@ -111,13 +111,24 @@ type t = {
   monitors : (switch_id, Monitor.t) Hashtbl.t;
   faults : (link_end, fault_state) Hashtbl.t;
   stats : stats;
+  (* Notice copies that reach a switch only to expire: each is one hop
+     and one dataplane drop, credited to [stats] on read. *)
+  expired : Engine.tally;
+  mutable expired_credited : int;
 }
 
 let[@dumbnet.hot] engine t = t.eng
 
 let graph t = t.g
 
-let stats t = t.stats
+let stats t =
+  let due = Engine.tallied t.expired - t.expired_credited in
+  if due > 0 then begin
+    t.stats.switch_hops <- t.stats.switch_hops + due;
+    t.stats.dataplane_drops <- t.stats.dataplane_drops + due;
+    t.expired_credited <- t.expired_credited + due
+  end;
+  t.stats
 
 let target_array g sw =
   let n = Graph.ports_of g sw in
@@ -127,9 +138,9 @@ let target_array g sw =
         match Graph.endpoint_at g { sw; port = p } with
         | None -> T_empty
         | Some (Host h) -> T_host h
-        | Some (Switch peer) -> (
+        | Some (Switch _) -> (
           match Graph.peer_port g { sw; port = p } with
-          | Some pe -> T_switch (peer, pe.port)
+          | Some pe -> T_switch pe
           | None -> T_empty))
 
 let[@dumbnet.hot] switch_state t sw =
@@ -182,6 +193,8 @@ let create ?(config = default_config) ~engine:eng ~graph:g () =
           probe_mirrors = 0;
           nic_drops = 0;
         };
+      expired = Engine.tally eng;
+      expired_credited = 0;
     }
   in
   let fresh_egress () =
@@ -388,38 +401,56 @@ let[@dumbnet.hot] stamp_source t ss p =
 (* The switch's forwarding decision, running at the frame's arrival
    time plus the switch latency. Callers fold that latency into the
    schedule that delivers the frame here (one engine event per hop, not
-   two) — [Engine.now] already reads arrival + switch_latency. *)
-let[@dumbnet.hot] rec switch_process t sw ~in_port frame =
+   two) — [Engine.now] already reads arrival + switch_latency.
+
+   [tags] is the frame's tag stack as of this arrival and [ntags] its
+   length: a tag cursor beside the frame. A plain pop advances the
+   cursor and leaves the frame as it was built; the frame is rebuilt
+   with its stack only where the dataplane rewrites it (INT, probe
+   programs, ID queries, drops) and where a host receives it. *)
+let[@dumbnet.hot] rec switch_process t (at : link_end) frame tags ntags =
   t.stats.switch_hops <- t.stats.switch_hops + 1;
-  match switch_state t sw with
+  match switch_state t at.sw with
   | None -> t.stats.dataplane_drops <- t.stats.dataplane_drops + 1
   | Some ss -> (
     refresh_targets t;
-    let num_ports = Array.length ss.egress - 1 in
-    (* Only INT-flagged frames and probe programs read the stamp source,
-       so only they pay for its closure. *)
-    let stamp =
-      match frame.Frame.prog with
-      | Some _ -> Some (stamp_source t ss)
-      | None -> if frame.Frame.int_enabled then Some (stamp_source t ss) else None
+    let p =
+      Dataplane.plain_pop ~num_ports:(Array.length ss.egress - 1) ~port_up:ss.port_up frame tags
     in
-    match Dataplane.handle ~self:sw ~num_ports ~port_up:ss.port_up ?stamp ~in_port frame with
-    | Dataplane.Drop _ -> t.stats.dataplane_drops <- t.stats.dataplane_drops + 1
-    | Dataplane.Forward (p, frame') ->
-      if Frame.stamp_count frame' > Frame.stamp_count frame then
-        t.stats.int_stamped <- t.stats.int_stamped + 1;
-      emit t ss p frame'
-    | Dataplane.Forward_many emissions ->
-      (* A probe program fired MIRROR (and possibly BOUNCE): the frame
-         plus its ingress-bound copies, each charged to its egress. *)
-      t.stats.probe_mirrors <- t.stats.probe_mirrors + max 0 (List.length emissions - 1);
-      List.iter
-        (fun (p, frame') ->
-          if Frame.stamp_count frame' > Frame.stamp_count frame then
-            t.stats.int_stamped <- t.stats.int_stamped + 1;
-          emit t ss p frame')
-        emissions
-    | Dataplane.Flood frame' -> flood t ss ~except:in_port frame')
+    if p = 0 then rewrite t ss ~in_port:at.port (Frame.with_tags tags frame)
+    else
+      match tags with
+      | _ :: rest -> emit t ss p frame rest (ntags - 1)
+      | [] -> ())
+
+(* Every hop but a plain pop: the dataplane's full decision on the
+   rebuilt frame. *)
+and[@dumbnet.hot] rewrite t ss ~in_port frame =
+  let num_ports = Array.length ss.egress - 1 in
+  (* Only INT-flagged frames and probe programs read the stamp source,
+     so only they pay for its closure. *)
+  let stamp =
+    match frame.Frame.prog with
+    | Some _ -> Some (stamp_source t ss)
+    | None -> if frame.Frame.int_enabled then Some (stamp_source t ss) else None
+  in
+  match Dataplane.handle ~self:ss.self ~num_ports ~port_up:ss.port_up ?stamp ~in_port frame with
+  | Dataplane.Drop _ -> t.stats.dataplane_drops <- t.stats.dataplane_drops + 1
+  | Dataplane.Forward (p, frame') ->
+    if Frame.stamp_count frame' > Frame.stamp_count frame then
+      t.stats.int_stamped <- t.stats.int_stamped + 1;
+    emit_frame t ss p frame'
+  | Dataplane.Forward_many emissions ->
+    (* A probe program fired MIRROR (and possibly BOUNCE): the frame
+       plus its ingress-bound copies, each charged to its egress. *)
+    t.stats.probe_mirrors <- t.stats.probe_mirrors + max 0 (List.length emissions - 1);
+    List.iter
+      (fun (p, frame') ->
+        if Frame.stamp_count frame' > Frame.stamp_count frame then
+          t.stats.int_stamped <- t.stats.int_stamped + 1;
+        emit_frame t ss p frame')
+      emissions
+  | Dataplane.Flood frame' -> flood t ss ~except:in_port frame'
 
 (* The injected-fault check on one egress direction. Runs after the
    port-up test on purpose: the link looks perfectly healthy to the
@@ -439,38 +470,61 @@ and faulted t ss p =
     else false
   | None -> false
 
-and emit t ss p frame =
-  if p >= 1 && p < Array.length ss.egress && ss.port_up p && not (faulted t ss p) then
+(* Whether a frame sent out port [p] leaves the switch at all. *)
+and[@dumbnet.hot] live t ss p =
+  p >= 1 && p < Array.length ss.egress && ss.port_up p && not (faulted t ss p)
+
+and[@dumbnet.hot] emit_frame t ss p frame = emit t ss p frame frame.Frame.tags (List.length frame.Frame.tags)
+
+(* Out port [p], the frame carrying the tag stack [tags] of length
+   [ntags]. *)
+and[@dumbnet.hot] emit t ss p frame tags ntags =
+  if live t ss p then
     match ss.targets.(p) with
     | T_empty -> ()
     | T_host h ->
       let egress = ss.egress.(p) in
       let frame = ecn_mark t egress frame in
-      let bytes = Frame.byte_size frame in
+      let bytes = Frame.byte_size_with frame ~tag_count:ntags in
       let arrive = charge t egress frame ~bytes in
-      if arrive >= 0 then
+      if arrive >= 0 then begin
+        let frame = Frame.with_tags tags frame in
         Engine.schedule_at t.eng ~at_ns:arrive (fun () -> deliver_to_host t h frame ~bytes)
-    | T_switch (peer, peer_in) -> send_to_switch t ss.egress.(p) frame ~peer ~peer_in
+      end
+    | T_switch peer -> send_to_switch t ss.egress.(p) frame tags ntags ~peer
 
-(* Onto a cable whose far end is switch [peer]'s port [peer_in]: the
-   arrival event already includes the peer's switch latency. *)
-and[@dumbnet.hot] send_to_switch t egress frame ~peer ~peer_in =
+(* Onto a cable whose far end is the switch port [peer]: the arrival
+   event already includes the peer's switch latency. *)
+and[@dumbnet.hot] send_to_switch t egress frame tags ntags ~peer =
   let frame = ecn_mark t egress frame in
-  let arrive = charge t egress frame ~bytes:(Frame.byte_size frame) in
+  let arrive = charge t egress frame ~bytes:(Frame.byte_size_with frame ~tag_count:ntags) in
   if arrive >= 0 then
     Engine.schedule_at t.eng ~at_ns:(arrive + t.config.switch_latency_ns) (fun () ->
-        switch_process t peer ~in_port:peer_in frame)
+        switch_process t peer frame tags ntags)
 
 (* Emit on every cabled port but [except], increasing port order — the
    target array already knows what is cabled where, so flooding never
-   rebuilds a neighbor list. Down links are filtered per-port by
-   [emit], matching the old [Graph.neighbors] walk. *)
-and flood t ss ~except frame =
+   rebuilds a neighbor list. Down links are filtered per-port, matching
+   the old [Graph.neighbors] walk. A copy of a spent notice still
+   queues on its egress like any frame, but the switch it reaches only
+   drops it: its arrival goes to the [expired] tally, not the heap. *)
+and[@dumbnet.hot] flood t ss ~except frame =
+  let spent = Dataplane.notice_spent frame in
+  let tags = frame.Frame.tags in
+  let ntags = List.length tags in
   for p = 1 to Array.length ss.targets - 1 do
     if p <> except then
       match ss.targets.(p) with
       | T_empty -> ()
-      | T_host _ | T_switch _ -> emit t ss p frame
+      | T_switch _ when spent ->
+        if live t ss p then begin
+          let egress = ss.egress.(p) in
+          let frame = ecn_mark t egress frame in
+          let arrive = charge t egress frame ~bytes:(Frame.byte_size_with frame ~tag_count:ntags) in
+          if arrive >= 0 then
+            Engine.tally_at t.expired ~at_ns:(arrive + t.config.switch_latency_ns)
+        end
+      | T_host _ | T_switch _ -> emit t ss p frame tags ntags
   done
 
 let flood_from t sw ~except frame =
@@ -496,7 +550,9 @@ let[@dumbnet.hot] host_send t h frame =
       hs.next_tx <- start + Nic.min_tx_gap_ns hs.nic;
       let depart () =
         if acc.port_up acc.at.port then
-          send_to_switch t hs.out frame ~peer:acc.at.sw ~peer_in:acc.at.port
+          send_to_switch t hs.out frame frame.Frame.tags
+            (List.length frame.Frame.tags)
+            ~peer:acc.at
         else t.stats.nic_drops <- t.stats.nic_drops + 1
       in
       if start = now then Engine.schedule_line hs.tx_line depart

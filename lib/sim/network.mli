@@ -67,6 +67,10 @@ val graph : t -> Graph.t
     not read it — it exists for the simulator and for test oracles. *)
 
 val stats : t -> stats
+(** The network's counters, current as of this call: a spent notice
+    copy's arrival (one switch hop and one dataplane drop) is counted
+    in the engine and credited here when read, so read the record
+    again after running the engine. *)
 
 val set_host_handler : t -> host_id -> (Frame.t -> unit) -> unit
 (** Delivery callback, already past the NIC receive path. *)

@@ -106,6 +106,19 @@ let run_prog ~self ~num_ports ~port_up ~stamp ~in_port ~egress prog frame =
   | None, _ :: _ -> Forward_many copies
   | None, [] -> Drop (Port_down out_port)
 
+(* The common hop, and the only one that rewrites nothing but the tag
+   stack: the [Forward p] branch of [process_tags] below for a frame
+   with no program and no INT flag, on an up port in range. *)
+let[@dumbnet.hot] plain_pop ~num_ports ~port_up (frame : Frame.t) tags =
+  match tags with
+  | Tag.Forward p :: _
+    when frame.Frame.ethertype = Frame.ethertype_dumbnet
+         && Option.is_none frame.Frame.prog
+         && (not frame.Frame.int_enabled)
+         && p >= 1 && p <= num_ports && port_up p ->
+    p
+  | Tag.Forward _ :: _ | Tag.Id_query :: _ | Tag.End_of_path :: _ | [] -> 0
+
 let rec process_tags ~self ~num_ports ~port_up ~stamp ~in_port (frame : Frame.t) =
   match frame.Frame.tags with
   | [] -> Drop No_tags
@@ -151,16 +164,25 @@ let rec process_tags ~self ~num_ports ~port_up ~stamp ~in_port (frame : Frame.t)
         end
     end
 
+let[@dumbnet.hot] notice_spent (frame : Frame.t) =
+  frame.Frame.ethertype = Frame.ethertype_notice
+  &&
+  match frame.Frame.payload with
+  | Payload.Port_notice { hops_left; _ } -> hops_left <= 0
+  | Payload.Data _ | Payload.Probe _ | Payload.Probe_reply _ | Payload.Id_reply _
+  | Payload.Host_flood _ | Payload.Topo_patch _ | Payload.Path_query _
+  | Payload.Path_response _ | Payload.Controller_hello _ | Payload.Peer_list _
+  | Payload.Ecn_echo _ | Payload.Rts _ | Payload.Token _ | Payload.Int_probe _ ->
+    false
+
 let handle ~self ~num_ports ~port_up ?stamp ~in_port frame =
   if frame.Frame.ethertype = Frame.ethertype_dumbnet then
     process_tags ~self ~num_ports ~port_up ~stamp ~in_port frame
+  else if notice_spent frame then Drop Ttl_expired
   else if frame.Frame.ethertype = Frame.ethertype_notice then begin
     match frame.Frame.payload with
     | Payload.Port_notice { event; hops_left } ->
-      if hops_left <= 0 then Drop Ttl_expired
-      else
-        Flood
-          { frame with Frame.payload = Payload.Port_notice { event; hops_left = hops_left - 1 } }
+      Flood { frame with Frame.payload = Payload.Port_notice { event; hops_left = hops_left - 1 } }
     | Payload.Data _ | Payload.Probe _ | Payload.Probe_reply _ | Payload.Id_reply _
     | Payload.Host_flood _ | Payload.Topo_patch _ | Payload.Path_query _
     | Payload.Path_response _ | Payload.Controller_hello _ | Payload.Peer_list _

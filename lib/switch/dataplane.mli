@@ -56,4 +56,18 @@ val handle :
     countdown ticks; the rewritten program travels in the frame, so the
     switch still retains nothing. *)
 
+val plain_pop : num_ports:int -> port_up:(port -> bool) -> Frame.t -> Tag.t list -> port
+(** [plain_pop ~num_ports ~port_up frame tags] is [p] when the frame,
+    carrying the tag stack [tags] in place of its own, takes the common
+    hop: a DumbNet frame with no probe program and no INT flag whose
+    first tag is [Forward p], [p] an up port in range. {!handle} then
+    returns [Forward (p, f)] with [f] the frame minus that one tag, so a
+    forwarder may keep the frame as it is and advance its own cursor
+    past the tag. [0] when the hop needs {!handle}. *)
+
+val notice_spent : Frame.t -> bool
+(** A port notice whose hop budget is spent: {!handle} drops it
+    ([Ttl_expired]) at any switch, whatever the state of its ports, so
+    its arrival changes nothing but the hop and drop counts. *)
+
 val pp_drop_reason : Format.formatter -> drop_reason -> unit

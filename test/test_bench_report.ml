@@ -138,7 +138,7 @@ let test_perf_report () =
 (* Every gated row at its committed baseline: nothing fails at 2x. *)
 let perf_passing =
   let at name = E.Bench_util.assoc name Perf.committed in
-  let drain topo = (Perf.net_drain_metric_name topo, topo, at (Perf.net_drain_metric_name topo), 28.) in
+  let drain topo = (Perf.net_drain_metric_name topo, topo, at (Perf.net_drain_metric_name topo), 15.) in
   let batch topo = (topo, Perf.batch_metric_name topo 1, 1, at (Perf.batch_metric_name topo 1)) in
   {
     Perf.quick = true;
@@ -161,7 +161,7 @@ let wordy r =
     r with
     Perf.net_drain =
       List.map
-        (fun (name, topo, ops, _) -> (name, topo, ops, if topo = "jellyfish_64" then 43. else 28.))
+        (fun (name, topo, ops, _) -> (name, topo, ops, if topo = "jellyfish_64" then 26. else 15.))
         r.Perf.net_drain;
   }
 
@@ -169,7 +169,7 @@ let unscoped r = { r with Perf.conv = { r.Perf.conv with Perf.conv_scoping_facto
 
 let codec_msg = "codec_roundtrips_per_sec at 235941 ops/s, committed baseline 471884 (>2.0x slower)"
 
-let words_msg = "net_drain_hops_per_sec_jellyfish_64 allocates 43.0 minor words per hop (budget 42.0)"
+let words_msg = "net_drain_hops_per_sec_jellyfish_64 allocates 26.0 minor words per hop (budget 25.0)"
 
 let scoping_msg = "failure-repair scoping factor 4.90 < 5.0"
 

@@ -93,11 +93,13 @@ let test_engine_rejects_past () =
      with Invalid_argument _ -> true)
 
 (* A random schedule tree: every node is one [schedule] (kind 0),
-   [schedule_at] (kind 1), [schedule_daemon] (kind 2) or
+   [schedule_at] (kind 1), [schedule_daemon] (kind 2),
    [schedule_line] (kind 3, on the engine's line for a delay of 0, 2
-   or 4) call with a small delay, so many events share a fire time —
-   line events tie with heap events and daemons; its children are
-   issued from inside the node's event when it fires. *)
+   or 4) or [tally_at] (kind 4, on one of two tallies by the node's
+   parity) call with a small delay, so many events share a fire time —
+   line events and tally arrivals tie with heap events and daemons; its
+   children are issued from inside the node's event when it fires. A
+   tally arrival runs nothing, so its node has no children. *)
 type sched_op = {
   id : int;
   kind : int;
@@ -108,9 +110,9 @@ type sched_op = {
 let sched_forest_gen =
   let open QCheck.Gen in
   let rec tree depth =
-    int_bound 3 >>= fun kind ->
+    int_bound 4 >>= fun kind ->
     (if kind = 3 then oneofl [ 0; 2; 4 ] else int_bound 4) >>= fun delay ->
-    (if depth = 0 then return []
+    (if depth = 0 || kind = 4 then return []
      else list_size (frequency [ (3, return 0); (2, int_range 1 3) ]) (tree (depth - 1)))
     >>= fun children -> return { id = 0; kind; delay; children }
   in
@@ -132,38 +134,52 @@ let rec pp_sched_op op =
     | 0 -> 's'
     | 1 -> 'a'
     | 2 -> 'd'
-    | _ -> 'l')
+    | 3 -> 'l'
+    | _ -> 't')
     op.delay
     (String.concat " " (List.map pp_sched_op op.children))
 
 (* What a run observes: per fired event (id, now, pending,
-   pending_regular) read inside the event, then one (-1, ...) row after
-   each [run] call. *)
+   pending_regular, events_processed, each tally's count) read inside
+   the event, then one (-1, ...) row after each [run] call. *)
 let engine_trace forest runs =
   let eng = Engine.create () in
+  let tallies = [| Engine.tally eng; Engine.tally eng |] in
   let log = ref [] in
+  let row id =
+    ( id,
+      Engine.now eng,
+      Engine.pending eng,
+      Engine.pending_regular eng,
+      Engine.events_processed eng,
+      Engine.tallied tallies.(0),
+      Engine.tallied tallies.(1) )
+  in
   let rec issue op =
     let fire () =
-      log := (op.id, Engine.now eng, Engine.pending eng, Engine.pending_regular eng) :: !log;
+      log := row op.id :: !log;
       List.iter issue op.children
     in
     match op.kind with
     | 0 -> Engine.schedule eng ~delay_ns:op.delay fire
     | 1 -> Engine.schedule_at eng ~at_ns:(Engine.now eng + op.delay) fire
     | 2 -> Engine.schedule_daemon eng ~delay_ns:op.delay fire
-    | _ -> Engine.schedule_line (Engine.line eng ~delay_ns:op.delay) fire
+    | 3 -> Engine.schedule_line (Engine.line eng ~delay_ns:op.delay) fire
+    | _ -> Engine.tally_at tallies.(op.id land 1) ~at_ns:(Engine.now eng + op.delay)
   in
   List.iter issue forest;
   List.iter
     (fun until_ns ->
       Engine.run ?until_ns eng;
-      log := (-1, Engine.now eng, Engine.pending eng, Engine.pending_regular eng) :: !log)
+      log := row (-1) :: !log)
     runs;
   List.rev !log
 
-(* The reference: a list kept sorted by (time, insertion order). *)
+(* The reference: a list kept sorted by (time, insertion order), where
+   a tally arrival is an event that only counts itself. *)
 let model_trace forest runs =
   let clock = ref 0 and seq = ref 0 and pending = ref [] and log = ref [] in
+  let processed = ref 0 and tallied = [| 0; 0 |] in
   let push at daemon op =
     let s = !seq in
     incr seq;
@@ -190,13 +206,27 @@ let model_trace forest runs =
             | Some _ | None ->
               pending := rest;
               clock := max !clock at;
-              log := (op.id, !clock, List.length rest, regular ()) :: !log;
-              List.iter issue op.children)
+              incr processed;
+              if op.kind = 4 then tallied.(op.id land 1) <- tallied.(op.id land 1) + 1
+              else begin
+                log :=
+                  ( op.id,
+                    !clock,
+                    List.length rest,
+                    regular (),
+                    !processed,
+                    tallied.(0),
+                    tallied.(1) )
+                  :: !log;
+                List.iter issue op.children
+              end)
       done;
       (match until_ns with
       | Some limit when !clock < limit -> clock := limit
       | Some _ | None -> ());
-      log := (-1, !clock, List.length !pending, regular ()) :: !log)
+      log :=
+        (-1, !clock, List.length !pending, regular (), !processed, tallied.(0), tallied.(1))
+        :: !log)
     runs;
   List.rev !log
 
@@ -286,6 +316,106 @@ let fabric_golden_digest () =
 
 let test_fabric_golden_digest () =
   check Alcotest.string "fabric run digest" "03ec16361d9d3663a9c687978776ec33" (fabric_golden_digest ())
+
+(* Pins a §4.2 stage-1 flood through fat-tree k=4: one core uplink
+   fails and, past the monitors' suppression window, comes back, while
+   data frames cross the fabric. A daemon beat every 250 ns snapshots
+   the clock, the engine's counts and the network counters mid-run, and
+   bounded runs cut each flood twice; every host logs when each notice
+   copy reaches it. A last failure floods with every host unplugged, so
+   that flood ends on copies that reach a switch only to expire. Most of
+   every flood is such copies, so this digest moves if their arrivals
+   are counted at the wrong instant or stop keeping the daemon alive. *)
+let flood_golden_digest () =
+  let built = Builder.fat_tree ~k:4 () in
+  let g = built.Builder.graph in
+  let eng = Engine.create () in
+  let net = Network.create ~engine:eng ~graph:g () in
+  let buf = Buffer.create 65536 in
+  let snap tag =
+    let st = Network.stats net in
+    Printf.bprintf buf "%s@%d ev=%d pend=%d reg=%d hops=%d dd=%d tx=%d rx=%d qd=%d;\n" tag
+      (Engine.now eng) (Engine.events_processed eng) (Engine.pending eng)
+      (Engine.pending_regular eng) st.Network.switch_hops st.Network.dataplane_drops
+      st.Network.host_tx st.Network.host_rx st.Network.queue_drops
+  in
+  let hosts = Array.of_list built.Builder.hosts in
+  let n = Array.length hosts in
+  Array.iter
+    (fun h ->
+      Network.set_host_handler net h (fun f ->
+          match f.Frame.payload with
+          | Payload.Port_notice { hops_left; _ } ->
+            Printf.bprintf buf "n%d@%d/%d;" h (Engine.now eng) hops_left
+          | _ -> Printf.bprintf buf "d%d@%d;" h (Engine.now eng)))
+    hosts;
+  let beating = ref true in
+  let rec beat () =
+    if !beating then begin
+      snap "b";
+      Engine.schedule_daemon eng ~delay_ns:250 beat
+    end
+  in
+  let send_data ~at_ns =
+    Array.iteri
+      (fun i src ->
+        let dst = hosts.((i + (n / 2)) mod n) in
+        match Routing.host_route g ~src ~dst with
+        | Some p ->
+          Engine.schedule_at eng ~at_ns (fun () ->
+              Network.host_send net src
+                (Frame.along_path ~src ~dst ~tags_of:(Path.tags p)
+                   ~payload:(Payload.Data { flow = i; seq = 0; size = 1000; sent_ns = 0 })))
+        | None -> Alcotest.fail "no route")
+      hosts
+  in
+  (* The highest-numbered switch is an edge switch; fail its first
+     uplink's far end, an aggregation port facing it. *)
+  let edge = List.fold_left max 0 (Graph.switch_ids g) in
+  let cable =
+    match Graph.switch_neighbors g edge with
+    | (port, _, _) :: _ -> (
+      match Graph.peer_port g { sw = edge; port } with
+      | Some far -> far
+      | None -> Alcotest.fail "uplink has no far end")
+    | [] -> Alcotest.fail "edge switch has no uplinks"
+  in
+  let flood_through ~data =
+    beating := true;
+    Engine.schedule_daemon eng ~delay_ns:0 beat;
+    let t0 = Engine.now eng in
+    if data then send_data ~at_ns:(t0 + 1_000);
+    Engine.schedule_at eng ~at_ns:(t0 + 2_000) (fun () ->
+        if Graph.link_up g cable then Network.fail_link net cable
+        else Network.restore_link net cable);
+    Engine.run ~until_ns:(t0 + 4_000) eng;
+    snap "u1";
+    Engine.run ~until_ns:(t0 + 6_500) eng;
+    snap "u2";
+    Engine.run eng;
+    snap "idle";
+    beating := false
+  in
+  let quiet () =
+    (* Past the monitors' one-second suppression window. *)
+    Engine.run ~until_ns:(Engine.now eng + 1_100_000_000) eng;
+    snap "quiet"
+  in
+  flood_through ~data:true;
+  quiet ();
+  flood_through ~data:true;
+  quiet ();
+  Array.iter
+    (fun h ->
+      match Graph.host_location g h with
+      | Some le -> Graph.remove_link g le
+      | None -> Alcotest.fail "host detached")
+    hosts;
+  flood_through ~data:false;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_flood_golden_digest () =
+  check Alcotest.string "flood run digest" "aa7e522b3d3c566186c5a3ecf4974310" (flood_golden_digest ())
 
 (* --- network timing --- *)
 
@@ -585,13 +715,14 @@ let test_port_bandwidth_cap () =
   Alcotest.(check bool) "slow link dominates" true (!last - t_before > baseline + 1_000_000)
 
 (* Minor words one switch hop may allocate in the drain below:
-   measured at 26.6, the ceiling leaves ~1.5x. *)
-let hop_words_ceiling = 40.
+   measured at 14.5, the ceiling leaves ~1.5x. *)
+let hop_words_ceiling = 22.
 
 (* Every host hands a burst of data frames to its NIC before the
    counter is read, so only the drain is on the meter: per switch hop
-   the dataplane's frame copy (tag pop), its [Forward] action and one
-   arrival closure, plus one receive event per delivered frame. *)
+   one arrival closure (the tag pop advances a cursor in it, so the
+   frame is neither copied nor wrapped), plus the frame rebuilt with its
+   remaining tag and one receive event per delivered frame. *)
 let test_hop_allocation_bound () =
   let built = Builder.fat_tree ~k:4 () in
   let g = built.Builder.graph in
@@ -650,6 +781,7 @@ let () =
           Alcotest.test_case "priority lane" `Quick test_priority_lane_bypasses_backlog;
           Alcotest.test_case "port counters" `Quick test_port_counters;
           Alcotest.test_case "fabric golden digest" `Quick test_fabric_golden_digest;
+          Alcotest.test_case "flood golden digest" `Quick test_flood_golden_digest;
           Alcotest.test_case "hop allocation bound" `Quick test_hop_allocation_bound;
         ] );
     ]

@@ -107,6 +107,64 @@ let bytes_vs_structured_prop =
       in
       walk frame frame (List.length ports))
 
+(* The common hop a forwarder takes on its own tag cursor must be
+   exactly what [handle] does: for any frame, carrying any tag stack in
+   place of its own, whenever [plain_pop] names a port, [handle] on the
+   rebuilt frame forwards out that port with just the head tag gone —
+   and a hop that [handle] forwards that way, with no program and no
+   INT flag to rewrite, is one [plain_pop] names. *)
+let plain_pop_prop =
+  let tag =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, int_range 1 10 >|= fun p -> Tag.Forward p);
+          (1, return Tag.Id_query);
+          (1, return Tag.End_of_path);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      tup5 (list_size (0 -- 4) tag)
+        (oneofl [ Frame.ethertype_dumbnet; Frame.ethertype_notice; Frame.ethertype_ip ])
+        bool
+        (oneofl [ None; Some [ { Probe_prog.pred = Probe_prog.any; op = Probe_prog.Stamp } ] ])
+        (int_bound 511))
+  in
+  QCheck.Test.make ~name:"plain pop agrees with handle" ~count:1000 (QCheck.make gen)
+    (fun (tags, ethertype, int_enabled, prog, up_mask) ->
+      let port_up p = up_mask land (1 lsl p) <> 0 in
+      let built = Frame.along_path ~src:0 ~dst:1 ~tags_of:[ 4 ] ~payload:data_payload in
+      let frame = { built with Frame.ethertype; int_enabled; prog } in
+      let stamp p = { Int_stamp.switch = 7; port = p; queue_depth = 0; timestamp_ns = 0 } in
+      let p = Dataplane.plain_pop ~num_ports:8 ~port_up frame tags in
+      let action =
+        Dataplane.handle ~self:7 ~num_ports:8 ~port_up ~stamp ~in_port:1 (Frame.with_tags tags frame)
+      in
+      match (action, tags) with
+      | Dataplane.Forward (q, f), Tag.Forward head :: rest ->
+        let popped = q = head && Frame.equal f (Frame.with_tags rest frame) in
+        if p > 0 then popped && p = q
+        else not (popped && Option.is_none prog && not int_enabled)
+      | _ -> p = 0)
+
+let test_notice_spent () =
+  let event = { Payload.position = { sw = 3; port = 1 }; up = false; event_seq = 1 } in
+  List.iter
+    (fun hops_left ->
+      let n = Frame.notice ~origin:3 ~event ~hops_left in
+      let spent = Dataplane.notice_spent n in
+      check Alcotest.bool (Printf.sprintf "hops_left %d" hops_left) (hops_left <= 0) spent;
+      List.iter
+        (fun port_up ->
+          match handle ~port_up n with
+          | Dataplane.Drop Dataplane.Ttl_expired -> Alcotest.(check bool) "drop is spent" true spent
+          | _ -> Alcotest.(check bool) "live notice" false spent)
+        [ all_up; (fun _ -> false) ])
+    [ -1; 0; 1; 5 ];
+  Alcotest.(check bool) "data is never spent" false
+    (Dataplane.notice_spent (Frame.along_path ~src:0 ~dst:1 ~tags_of:[ 2 ] ~payload:data_payload))
+
 (* --- monitor --- *)
 
 let test_monitor_emits_then_suppresses () =
@@ -172,6 +230,8 @@ let () =
           Alcotest.test_case "notice flood + ttl" `Quick test_notice_flood_and_ttl;
           Alcotest.test_case "stateless" `Quick test_statelessness;
           QCheck_alcotest.to_alcotest bytes_vs_structured_prop;
+          QCheck_alcotest.to_alcotest plain_pop_prop;
+          Alcotest.test_case "spent notice" `Quick test_notice_spent;
         ] );
       ( "monitor",
         [
