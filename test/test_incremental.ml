@@ -338,6 +338,65 @@ let test_delta_repush_scoped () =
   check Alcotest.bool "most untouched pairs kept their cache" true
     (List.length unchanged * 2 >= List.length untouched_before)
 
+(* Every host's cached path graphs and PathTable entries, in a fixed
+   order: the host side of bootstrap and of a delta re-push, where a
+   re-pushed graph is merged into the one already cached. *)
+let host_cache_digest fab =
+  let module Agent = Dumbnet.Host.Agent in
+  let module Topocache = Dumbnet.Host.Topocache in
+  let module Pathtable = Dumbnet.Host.Pathtable in
+  let buf = Buffer.create 65536 in
+  let path (p : Path.t) =
+    Printf.bprintf buf "%d>%d:" p.Path.src p.Path.dst;
+    List.iter (fun (sw, tag) -> Printf.bprintf buf "%d.%d," sw tag) p.Path.hops;
+    Buffer.add_char buf ';'
+  in
+  let hosts = Fabric.hosts fab in
+  List.iter
+    (fun h ->
+      let a = Fabric.agent fab h in
+      Printf.bprintf buf "H%d{" h;
+      List.iter
+        (fun dst ->
+          match Topocache.get (Agent.topocache a) ~dst with
+          | None -> ()
+          | Some pg ->
+            let w = Pathgraph.to_wire pg in
+            Printf.bprintf buf "G%d>%d@%d.%d/%d.%d:" w.Pathgraph.w_src w.Pathgraph.w_dst
+              w.Pathgraph.w_src_loc.sw w.Pathgraph.w_src_loc.port w.Pathgraph.w_dst_loc.sw
+              w.Pathgraph.w_dst_loc.port;
+            path w.Pathgraph.w_primary;
+            Option.iter path w.Pathgraph.w_backup;
+            List.iter
+              (fun (x, y) -> Printf.bprintf buf "%d.%d-%d.%d," x.sw x.port y.sw y.port)
+              w.Pathgraph.w_edges;
+            Printf.bprintf buf "n%d|" (Pathgraph.switch_count pg))
+        (Topocache.known (Agent.topocache a));
+      List.iter
+        (fun dst ->
+          match Pathtable.lookup (Agent.pathtable a) ~dst with
+          | None -> ()
+          | Some e ->
+            Printf.bprintf buf "T%d:" dst;
+            List.iter path e.Pathtable.paths;
+            Buffer.add_char buf '/';
+            Option.iter path e.Pathtable.backup;
+            Buffer.add_char buf '|')
+        hosts;
+      Buffer.add_char buf '}')
+    hosts;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_host_cache_digest () =
+  let fab = Fabric.create ~seed:3 (Builder.fat_tree ~k:4 ()) in
+  let bootstrap = host_cache_digest fab in
+  let le, _ = Link_key.ends (pick_subscribed_link (Fabric.controller fab)) in
+  Fabric.fail_link fab le;
+  Fabric.run fab;
+  check Alcotest.(pair string string) "bootstrap, then one failure and its re-push"
+    ("47bc20e8c0c054d09aa16ea4928e523b", "1d3b521fad25f598251cc3316fb4861a")
+    (bootstrap, host_cache_digest fab)
+
 let test_restore_repushes_nothing () =
   let built = Builder.fat_tree ~k:4 () in
   let fab = Fabric.create ~seed:7 built in
@@ -420,5 +479,6 @@ let () =
             test_delta_repush_scoped;
           Alcotest.test_case "restore re-pushes nothing" `Quick test_restore_repushes_nothing;
           Alcotest.test_case "burst coalescing" `Quick test_burst_coalescing;
+          Alcotest.test_case "host cache digest" `Quick test_host_cache_digest;
         ] );
     ]
