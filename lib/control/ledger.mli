@@ -5,10 +5,16 @@
 
     A failure re-pushes exactly the pairs subscribed to the failed
     cable (§4.2 stage 2 as a delta re-push). Graphs are held in
-    {!Dumbnet_topology.Pathgraph.compact} form with their tag stacks
-    interned into one {!Dumbnet_topology.Tag_arena}: on a fat tree most
-    source routes repeat across pairs, so the ledger stores each
-    distinct stack once. *)
+    {!Dumbnet_topology.Pathgraph.compact} form: tag stacks interned
+    into one {!Dumbnet_topology.Tag_arena} (on a fat tree most source
+    routes repeat across pairs, so the ledger stores each distinct
+    stack once), and the served graph's cable array kept by reference,
+    so the pairs stamped from one switch-pair body share it.
+
+    Pairs and cables are keyed by ints: host ids must lie in
+    [0, 2{^30}), switch ids in [0, 2{^22}) and ports in [0, 256).
+    Every function given an id outside its range raises
+    [Invalid_argument] and leaves the ledger unchanged. *)
 
 open Dumbnet_topology
 open Types
@@ -18,11 +24,11 @@ type t
 
 val create : unit -> t
 
-val record_push : t -> Pathgraph.wire -> unit
-(** Remember that this graph (in the wire form it was sent in) is what
-    its (src, dst) pair now holds: intern its tag stacks, store the
-    compact form, and subscribe the pair to every cable the graph
-    covers. Replaces the pair's previous graph and subscriptions. *)
+val record_push : t -> Pathgraph.t -> unit
+(** Remember that this graph is what its (src, dst) pair now holds:
+    intern its tag stacks, store the compact form, and subscribe the
+    pair to every cable the graph covers. Replaces the pair's previous
+    graph and subscriptions. *)
 
 val unsubscribe : t -> host_id * host_id -> unit
 (** Forget a pair: drop its graph and its subscriptions. *)
@@ -32,7 +38,7 @@ val affected_pairs : t -> Payload.change list -> (host_id * host_id) list
     failed cable hits exactly its subscribers; a removed switch hits
     every subscriber of its cables; restores and discoveries hit no one
     (recorded graphs stay valid, hosts only gain options by
-    re-querying). *)
+    re-querying). A failed cable's ids are range-checked. *)
 
 val cached_graph : t -> src:host_id -> dst:host_id -> Pathgraph.t option
 (** Rebuilt from the compact form: a fresh value with the same wire

@@ -78,7 +78,7 @@ let diagnose ?path ?(max_batches = 4) t ~dst ~on_done =
       | None -> Pathgraph.primary pg
     in
     let adj = Pathgraph.adjacency pg in
-    let src_port = (Pathgraph.to_wire pg).Pathgraph.w_src_loc.port in
+    let src_port = (Pathgraph.src_loc pg).port in
     match Prober.path_legs ~adj path with
     | None -> false
     | Some [] -> false (* single-switch path: no fabric cable to localize on *)

@@ -136,7 +136,7 @@ let measure pt =
       match Topo_store.serve_path_graph store ~src ~dst with
       | None -> ()
       | Some pg ->
-        Ledger.record_push ledger (Pathgraph.to_wire pg);
+        Ledger.record_push ledger pg;
         subscribed := Types.Link_set.union !subscribed (Pathgraph.links pg);
         Hashtbl.replace raw (src, dst) pg)
     ledger_pairs;

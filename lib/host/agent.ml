@@ -282,10 +282,8 @@ let install_custom_path t ~dst path =
   | Some pg, Some view -> (
     (* Verify structurally inside the revealed view; the endpoints come
        from the cached path graph itself. *)
-    let wire = Pathgraph.to_wire pg in
     let v =
-      Verifier.create ~view ~src_loc:wire.Pathgraph.w_src_loc ~dst_loc:wire.Pathgraph.w_dst_loc
-        ()
+      Verifier.create ~view ~src_loc:(Pathgraph.src_loc pg) ~dst_loc:(Pathgraph.dst_loc pg) ()
     in
     match Verifier.verify v path with
     | Ok () ->
@@ -457,9 +455,8 @@ let handle_clean_payload t frame =
     match t.query_hook with
     | Some f -> f ~requester ~target
     | None -> ())
-  | Payload.Path_response wire ->
+  | Payload.Path_response pg ->
     t.stats.responses_received <- t.stats.responses_received + 1;
-    let pg = Pathgraph.of_wire wire in
     learn_pathgraph t pg;
     let dst = if Pathgraph.src pg = t.self then Pathgraph.dst pg else Pathgraph.src pg in
     flush_pending t ~dst

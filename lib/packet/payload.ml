@@ -24,7 +24,7 @@ type t =
   | Host_flood of { event : link_event; origin : host_id }
   | Topo_patch of { version : int; changes : change list }
   | Path_query of { requester : host_id; target : host_id }
-  | Path_response of Pathgraph.wire
+  | Path_response of Pathgraph.t
   | Controller_hello of { controller : host_id }
   | Peer_list of { peers : host_id list }
   | Ecn_echo of { flow : int; marks : int; latest_sent_ns : int }
@@ -103,18 +103,21 @@ let read_path r =
   in
   { Path.src; hops; dst }
 
-let[@dumbnet.hot] write_pathgraph w (pg : Pathgraph.wire) =
-  W.int w pg.Pathgraph.w_src;
-  W.int w pg.w_dst;
-  write_link_end w pg.w_src_loc;
-  write_link_end w pg.w_dst_loc;
-  write_path w pg.w_primary;
-  W.option w write_path pg.w_backup;
-  W.list w
-    (fun w (a, b) ->
-      write_link_end w a;
-      write_link_end w b)
-    pg.w_edges
+(* The edges go out as the graph holds them: each cable once, lower end
+   first, sorted. *)
+let[@dumbnet.hot] write_pathgraph w pg =
+  W.int w (Pathgraph.src pg);
+  W.int w (Pathgraph.dst pg);
+  write_link_end w (Pathgraph.src_loc pg);
+  write_link_end w (Pathgraph.dst_loc pg);
+  write_path w (Pathgraph.primary pg);
+  W.option w write_path (Pathgraph.backup pg);
+  W.u16 w (Pathgraph.link_count pg);
+  Pathgraph.iter_cables pg (fun a pa b pb ->
+      W.int w a;
+      W.u8 w pa;
+      W.int w b;
+      W.u8 w pb)
 
 let read_pathgraph r =
   let w_src = R.int r in
@@ -128,7 +131,7 @@ let read_pathgraph r =
         let a = read_link_end r in
         (a, read_link_end r))
   in
-  { Pathgraph.w_src; w_dst; w_src_loc; w_dst_loc; w_primary; w_backup; w_edges }
+  Pathgraph.of_wire { Pathgraph.w_src; w_dst; w_src_loc; w_dst_loc; w_primary; w_backup; w_edges }
 
 let[@dumbnet.hot] write w t =
   match t with
@@ -284,13 +287,13 @@ let[@dumbnet.hot] change_bytes = function
 let[@dumbnet.hot] path_bytes (p : Path.t) =
   (2 * int_bytes) + 2 + ((int_bytes + 1) * List.length p.Path.hops)
 
-let[@dumbnet.hot] pathgraph_bytes (pg : Pathgraph.wire) =
-  (2 * int_bytes) + (2 * link_end_bytes) + path_bytes pg.Pathgraph.w_primary
-  + (match pg.w_backup with
+let[@dumbnet.hot] pathgraph_bytes pg =
+  (2 * int_bytes) + (2 * link_end_bytes) + path_bytes (Pathgraph.primary pg)
+  + (match Pathgraph.backup pg with
     | None -> 1
     | Some b -> 1 + path_bytes b)
   + 2
-  + (2 * link_end_bytes * List.length pg.w_edges)
+  + (2 * link_end_bytes * Pathgraph.link_count pg)
 
 let[@dumbnet.hot] byte_size = function
   | Data { size; _ } -> size
@@ -307,11 +310,10 @@ let[@dumbnet.hot] byte_size = function
   | Peer_list { peers } -> 1 + 2 + (int_bytes * List.length peers)
   | Ecn_echo _ | Int_probe _ -> 1 + (3 * int_bytes)
 
-let equal_wire (a : Pathgraph.wire) (b : Pathgraph.wire) = a = b
-
 let equal a b =
   match (a, b) with
-  | Path_response x, Path_response y -> equal_wire x y
+  | Path_response x, Path_response y -> Pathgraph.equal x y
+  | Path_response _, _ | _, Path_response _ -> false
   | _ -> a = b
 
 let pp ppf = function

@@ -42,7 +42,10 @@ type t =
   | Topo_patch of { version : int; changes : change list }
       (** controller-originated repair/patch broadcast (stage 2) *)
   | Path_query of { requester : host_id; target : host_id }
-  | Path_response of Pathgraph.wire
+  | Path_response of Pathgraph.t
+      (** the graph itself, so a simulated delivery shares it; the
+          decoder rebuilds one with {!Pathgraph.of_wire}, which
+          canonicalises the edge list it read *)
   | Controller_hello of { controller : host_id }
       (** lets hosts learn the controller's location during bootstrap *)
   | Peer_list of { peers : host_id list }
@@ -99,5 +102,6 @@ val decode_from : Bytes.t -> pos:int -> len:int -> t
     {!Wire.Truncated} on malformed input, exactly as {!decode}. *)
 
 val equal : t -> t -> bool
+(** Structural; path responses compare with {!Pathgraph.equal}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -163,7 +163,7 @@ let probe_once t =
          so every cached path of every destination gets sampled *)
       let path = List.nth paths ((t.cursor - 1) / ndsts mod List.length paths) in
       let adj = Pathgraph.adjacency pg in
-      let src_port = (Pathgraph.to_wire pg).Pathgraph.w_src_loc.port in
+      let src_port = (Pathgraph.src_loc pg).port in
       match build_loop ~adj ~src_port path with
       | None -> false
       | Some (tags, loop) ->

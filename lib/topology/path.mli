@@ -38,6 +38,17 @@ val of_route :
     lowest-numbered up link. [None] if the route does not start/end at
     the right switches or a consecutive pair is not adjacent. *)
 
+val of_route_toward :
+  toward:(switch_id -> switch_id -> port) ->
+  src:host_id ->
+  src_loc:link_end ->
+  dst:host_id ->
+  dst_loc:link_end ->
+  switch_id list ->
+  t option
+(** {!of_route} with the link choice given directly: [toward a b] is
+    the out port from [a] to [b], or a negative number if none. *)
+
 val validate : Graph.t -> t -> bool
 (** [true] iff walking the graph from [src]'s port with these tags
     traverses only up links and lands exactly on [dst]. This mirrors the

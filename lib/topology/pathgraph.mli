@@ -54,7 +54,7 @@ val generate :
 
 type body
 (** The switch-level part of a path graph: primary and backup routes
-    and the subgraph with its sorted wire edge list. Immutable. *)
+    and the packed subgraph. Immutable. *)
 
 val body :
   ?s:int ->
@@ -79,6 +79,11 @@ val src : t -> host_id
 
 val dst : t -> host_id
 
+val src_loc : t -> link_end
+(** Where the source host is attached. *)
+
+val dst_loc : t -> link_end
+
 val primary : t -> Path.t
 
 val backup : t -> Path.t option
@@ -92,13 +97,17 @@ val link_count : t -> int
 val switches : t -> Switch_set.t
 
 val contains_link : t -> Link_key.t -> bool
+(** A binary search of the sorted cables. *)
 
 val links : t -> Link_set.t
-(** The subgraph's cable set: the controller's link → subscribed-pair
-    repair index keys on it. [merge] unions the sets; [of_wire]
-    rebuilds from the wire edges. *)
+(** The subgraph's cable set, built on each call. *)
+
+val iter_cables : t -> (switch_id -> port -> switch_id -> port -> unit) -> unit
+(** [iter_cables t f] calls [f a.sw a.port b.sw b.port] for each cable,
+    lower end first, in wire order. *)
 
 val adjacency : t -> Path.adjacency
+(** Port order; each call builds the list. *)
 
 val find_route : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> Path.t option
 (** Best route currently available inside the subgraph,
@@ -106,13 +115,14 @@ val find_route : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> Path.t opt
 
 val k_routes : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> k:int -> Path.t list
 (** Up to [k] distinct loop-free routes within the subgraph minus
-    [avoid], shortest first; used to fill the host PathTable. Packs
-    that subgraph into an {!Adjacency.t} once per call and runs
-    {!Adjacency.k_shortest_routes} on it. *)
+    [avoid], shortest first; used to fill the host PathTable.
+    {!Adjacency.k_shortest_routes} runs on the graph's own CSR, or, when
+    [avoid] removes a cable, on a CSR of the cables left. *)
 
 val reversed : t -> t option
 (** The same subgraph serving the opposite direction: endpoints swapped
-    and primary/backup recomputed. [None] if no reverse route exists. *)
+    and primary/backup recomputed. [None] if no reverse route exists.
+    The backup's weighted search visits neighbours in port order. *)
 
 val count_paths : t -> max_len:int -> cap:int -> int
 (** Number of distinct simple src→dst routes of at most [max_len] switch
@@ -132,27 +142,32 @@ type wire = {
 }
 
 val to_wire : t -> wire
-(** Constant time on a graph stamped from a {!body}, whose edge list is
-    sorted once with the body; a graph from {!of_wire} or {!merge} sorts
-    its own. *)
+(** Lists the packed cables. *)
 
 val of_wire : wire -> t
+(** Canonicalises the edge list, as a decoder of untrusted bytes must:
+    each cable once with its lower end first, sorted, whatever order,
+    orientation or repetition the list had; an edge joining a port to
+    itself is dropped. *)
+
+val equal : t -> t -> bool
+(** Equal wire forms. *)
 
 (** {1 Interned storage form}
 
-    What the controller's push ledger holds at mega-fabric scale:
-    endpoints and edges as flat int arrays, and the primary/backup tag
-    stacks replaced by {!Tag_arena} handles, so the dominant repeated
-    payload — the source-route stacks — is stored once per {e distinct}
-    stack fabric-wide instead of once per pair. Converting back through
-    the issuing arena is exact: [of_compact a (to_compact a (to_wire t))]
-    has the same wire form as [t]. *)
+    What the controller's push ledger holds at mega-fabric scale: the
+    host ends as ints, the primary/backup tag stacks replaced by
+    {!Tag_arena} handles, so the source-route stacks are stored once per
+    {e distinct} stack fabric-wide instead of once per pair, and the
+    graph's own cable array by reference, so every pair stamped from
+    one body shares one copy. Converting back through the issuing arena
+    is exact: [of_compact a (to_compact a t)] has the same wire form as
+    [t]. *)
 
 type compact
 
-val to_compact : Tag_arena.t -> wire -> compact
-(** Interns the primary and backup tag stacks into the arena. Takes the
-    wire form, which a controller has already built to send the graph. *)
+val to_compact : Tag_arena.t -> t -> compact
+(** Interns the primary and backup tag stacks into the arena. *)
 
 val of_compact : Tag_arena.t -> compact -> t
 (** Rebuilds the full path graph. The arena must be the one that built
@@ -166,12 +181,15 @@ val compact_switch_count : compact -> int
 (** Distinct switches in the stored subgraph (matches {!switch_count}
     of the rebuilt graph). *)
 
-val compact_links : compact -> Link_key.t list
-(** The stored cable set, equal to {!links} of the rebuilt graph —
-    lets a ledger index compacts by link without rebuilding them. *)
+val compact_cables : compact -> int array
+(** The stored cables in {!iter_cables}' layout, four ints each — lets
+    a ledger index compacts by cable without rebuilding them. Shared
+    with the graph it came from: never write to it. *)
 
 val merge : t -> t -> t
-(** Union of the two subgraphs; primary/backup are taken from the first.
-    Requires equal (src, dst); raises [Invalid_argument] otherwise. *)
+(** Union of the two subgraphs, a merge of their sorted cable arrays;
+    primary/backup are taken from the first. When the union is one of
+    the two subgraphs, that subgraph is shared, not copied. Requires
+    equal (src, dst); raises [Invalid_argument] otherwise. *)
 
 val pp : Format.formatter -> t -> unit

@@ -47,7 +47,7 @@ let[@dumbnet.hot] route_via_distances ?rng adj ~src ~dst dist =
             let dp = dist peer in
             if dp >= 0 && dp = d - 1 then Some peer else None)
           (adj sw)
-        |> List.sort_uniq compare
+        |> List.sort_uniq Int.compare
       in
       match (candidates, rng) with
       | [], _ -> None

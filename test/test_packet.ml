@@ -99,7 +99,7 @@ let test_payload_pathgraph_roundtrip () =
   match Pathgraph.generate b.Builder.graph ~src:0 ~dst:20 with
   | None -> Alcotest.fail "no path graph"
   | Some pg ->
-    let p = Payload.Path_response (Pathgraph.to_wire pg) in
+    let p = Payload.Path_response pg in
     Alcotest.(check bool) "path response roundtrips" true
       (Payload.equal p (Payload.decode (Payload.encode p)))
 
@@ -264,7 +264,7 @@ let gen_payload =
         map2
           (fun requester target -> Payload.Path_query { requester; target })
           int int;
-        map (fun w -> Payload.Path_response w) wire;
+        map (fun w -> Payload.Path_response (Pathgraph.of_wire w)) wire;
         map (fun controller -> Payload.Controller_hello { controller }) int;
         map (fun peers -> Payload.Peer_list { peers }) (list_size (0 -- 12) int);
         map3
