@@ -1,4 +1,4 @@
-.PHONY: all build test check lint callgraph fmt bench bench-perf bench-scale bench-survivability perf-table perf-splice scale-table scale-splice diagnose clean
+.PHONY: all build test check lint callgraph fmt bench bench-perf bench-scale bench-survivability perf-table perf-splice scale-table scale-splice sim-identity diagnose clean
 
 all: build
 
@@ -73,6 +73,15 @@ scale-table: bench-scale scale-splice
 # also gates (wave-1 reachability and exact localization).
 bench-survivability:
 	dune exec bench/main.exe -- survivability
+
+# Byte identity of every simulated fabbench output against another
+# checkout of the repository, PARENT=<its root>: both build their
+# fabbench.exe and run inputs 1000-1005 and 7000-7005 of every workload
+# (tools/sim_identity.py). Prints attempted and failed per input.
+PARENT ?=
+sim-identity:
+	@test -n "$(PARENT)" || { echo "usage: make sim-identity PARENT=<checkout>"; exit 2; }
+	python3 tools/sim_identity.py --parent $(PARENT)
 
 # End-to-end demo of the diagnosis engine: inject a hidden fault the
 # controller never hears about, localize it to the exact cable.
