@@ -41,9 +41,13 @@ let touch_wiring t =
   touch t;
   t.wiring_generation <- t.wiring_generation + 1
 
+let check_id what ~max id =
+  if id < 0 || id > max then invalid_arg (Printf.sprintf "Graph.%s: id %d outside 0..%d" what id max)
+
 let add_switch t ~ports =
   if ports <= 0 || ports > max_port then invalid_arg "Graph.add_switch: bad port count";
   let id = t.next_switch in
+  check_id "add_switch" ~max:max_switch_id id;
   t.next_switch <- id + 1;
   Hashtbl.replace t.switches id { ports = Array.make (ports + 1) None };
   touch_wiring t;
@@ -51,18 +55,21 @@ let add_switch t ~ports =
 
 let add_host t =
   let id = t.next_host in
+  check_id "add_host" ~max:max_host_id id;
   t.next_host <- id + 1;
   Hashtbl.replace t.hosts id (ref None);
   id
 
 let add_switch_with_id t ~id ~ports =
   if ports <= 0 || ports > max_port then invalid_arg "Graph.add_switch_with_id: bad port count";
+  check_id "add_switch_with_id" ~max:max_switch_id id;
   if Hashtbl.mem t.switches id then invalid_arg "Graph.add_switch_with_id: id taken";
   Hashtbl.replace t.switches id { ports = Array.make (ports + 1) None };
   t.next_switch <- max t.next_switch (id + 1);
   touch_wiring t
 
 let add_host_with_id t ~id =
+  check_id "add_host_with_id" ~max:max_host_id id;
   if Hashtbl.mem t.hosts id then invalid_arg "Graph.add_host_with_id: id taken";
   Hashtbl.replace t.hosts id (ref None);
   t.next_host <- max t.next_host (id + 1)

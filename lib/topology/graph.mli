@@ -16,18 +16,24 @@ val create : unit -> t
 val add_switch : t -> ports:int -> switch_id
 (** Adds a switch with ports numbered [1..ports]. Ids are dense and
     assigned in creation order starting at 0. Raises [Invalid_argument]
-    if [ports] exceeds {!Types.max_port} or is not positive. *)
+    if [ports] exceeds {!Types.max_port} or is not positive, or the next
+    id exceeds {!Types.max_switch_id}. *)
 
 val add_host : t -> host_id
-(** Adds an unattached host. Ids are dense from 0. *)
+(** Adds an unattached host. Ids are dense from 0. Raises
+    [Invalid_argument] past {!Types.max_host_id}. *)
 
 val add_switch_with_id : t -> id:switch_id -> ports:int -> unit
 (** Adds a switch under a caller-chosen id — used when reconstructing a
     topology from discovered identities. Raises [Invalid_argument] if
-    the id is taken. Mixing with {!add_switch} is safe: automatic ids
-    skip past explicit ones. *)
+    the id is taken or outside [0..]{!Types.max_switch_id}, so an id the
+    push ledger cannot key is refused here, where it enters the model.
+    Mixing with {!add_switch} is safe: automatic ids skip past explicit
+    ones. *)
 
 val add_host_with_id : t -> id:host_id -> unit
+(** As {!add_switch_with_id}, for a host: ids outside
+    [0..]{!Types.max_host_id} raise [Invalid_argument]. *)
 
 val connect : t -> link_end -> link_end -> unit
 (** Cables two switch ports together. Raises [Invalid_argument] if either

@@ -17,6 +17,14 @@ type endpoint =
 val max_port : int
 (** Highest usable port number (254). *)
 
+val max_switch_id : int
+(** Highest switch id a topology accepts (2{^22} - 1), so a cable
+    [a.sw a.port b.sw b.port] packs into one int key. *)
+
+val max_host_id : int
+(** Highest host id a topology accepts (2{^30} - 1), so a host pair
+    packs into one int key. *)
+
 val pp_endpoint : Format.formatter -> endpoint -> unit
 
 val equal_endpoint : endpoint -> endpoint -> bool

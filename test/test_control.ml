@@ -162,6 +162,24 @@ let test_discovery_stops_at_controller () =
       (r.Discovery.stats.probes_sent < 26196)
   | None -> Alcotest.fail "discovery failed"
 
+(* A switch answering its Id_query with an id the push ledger cannot
+   key is refused while discovery builds the model, before any query is
+   served from it. *)
+let test_discovery_refuses_unkeyable_switch_id () =
+  let built = Builder.fat_tree ~k:4 () in
+  let g = built.Builder.graph in
+  let origin = built.Builder.controller in
+  let prober tags =
+    match Probe_walk.probe g ~origin ~tags with
+    | Probe_walk.Switch_id sw -> Probe_walk.Switch_id (sw + max_switch_id + 1)
+    | r -> r
+  in
+  Alcotest.(check bool) "Invalid_argument from discovery" true
+    (try
+       ignore (Discovery.run ~prober ~origin ~max_ports:4 ());
+       false
+     with Invalid_argument _ -> true)
+
 let test_discovery_detached_origin () =
   let built = Builder.testbed () in
   let g = built.Builder.graph in
@@ -413,6 +431,8 @@ let () =
           Alcotest.test_case "testbed counts" `Quick test_discovery_counts;
           Alcotest.test_case "stops at controller" `Quick test_discovery_stops_at_controller;
           Alcotest.test_case "detached origin" `Quick test_discovery_detached_origin;
+          Alcotest.test_case "refuses unkeyable switch id" `Quick
+            test_discovery_refuses_unkeyable_switch_id;
           Alcotest.test_case "prior drops stale links" `Quick test_verify_with_prior_drops_stale;
         ] );
       ("dedup", [ Alcotest.test_case "sequence windows" `Quick test_event_dedup ]);
