@@ -52,16 +52,12 @@ let build_topology spec seed =
       "unknown topology; try figure1, testbed, leaf-spine:S:L:H, fat-tree:K, cube:N, \
        random:N:D, jellyfish:N, linear:N, star:L"
 
-let topo_conv =
-  let parse s = Ok s in
-  Arg.conv ((fun s -> parse s), fun ppf s -> Format.pp_print_string ppf s)
-
 let topo_arg =
   let doc =
     "Topology: figure1 | testbed | leaf-spine:S:L:H | fat-tree:K | cube:N | random:N:D | \
-     jellyfish:N | linear:N."
+     jellyfish:N | linear:N | star:L."
   in
-  Arg.(value & opt topo_conv "testbed" & info [ "t"; "topology" ] ~docv:"TOPO" ~doc)
+  Arg.(value & opt string "testbed" & info [ "t"; "topology" ] ~docv:"TOPO" ~doc)
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic random seed.")

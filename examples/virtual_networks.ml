@@ -40,21 +40,17 @@ let () =
   (match Routing.host_route built.Builder.graph ~src:red_a ~dst:red_b with
   | Some any_path ->
     let via_blue =
-      (* Force the other spine by banning spine 0. *)
-      let adj = Routing.graph_adjacency built.Builder.graph in
-      match
-        ( Graph.host_location built.Builder.graph red_a,
-          Graph.host_location built.Builder.graph red_b )
-      with
-      | Some src_loc, Some dst_loc -> (
-        match
-          Routing.shortest_route_avoiding
-            ~banned_nodes:(Types.Switch_set.singleton 0)
-            ~banned_edges:[] adj ~src:src_loc.sw ~dst:dst_loc.sw
-        with
-        | Some route ->
-          Path.of_route ~adj ~src:red_a ~src_loc ~dst:red_b ~dst_loc route
-        | None -> None)
+      (* Force the other spine: route on the fabric without spine 0. *)
+      let g = built.Builder.graph in
+      let snap = Graph.adjacency g in
+      let mark = Bytes.make (Adjacency.id_bound snap) '\001' in
+      Bytes.set mark 0 '\000';
+      let switches = Array.of_list (List.filter (fun sw -> sw <> 0) (Graph.switch_ids g)) in
+      let no_spine0 = Adjacency.of_cables ~switches (Adjacency.induced snap mark) in
+      match (Graph.host_location g red_a, Graph.host_location g red_b) with
+      | Some src_loc, Some dst_loc ->
+        Option.bind (Adjacency.shortest_route no_spine0 ~src:src_loc.sw ~dst:dst_loc.sw)
+          (Path.of_route no_spine0 ~src:red_a ~src_loc ~dst:red_b ~dst_loc)
       | None, _ | _, None -> None
     in
     let candidate = Option.value via_blue ~default:any_path in

@@ -74,7 +74,7 @@ let default_config =
     callback_registrars = [ "schedule"; "schedule_at"; "schedule_daemon"; "schedule_line" ];
     result_fn_suffixes = [ "_result" ];
     domain_pool_files = [ "lib/util/pool.ml" ];
-    max_waivers = 5;
+    max_waivers = 4;
     parallel_registrars = [ "run_chunks"; "parallel_map" ];
     guarded_fns =
       [

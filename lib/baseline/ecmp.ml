@@ -7,8 +7,8 @@ let equal_cost_paths ?(cap = 16) g ~src ~dst =
   else
     match (Graph.host_location g src, Graph.host_location g dst) with
     | Some src_loc, Some dst_loc when Graph.link_up g src_loc && Graph.link_up g dst_loc ->
-      let adj = Routing.graph_adjacency g in
-      let dist = Routing.bfs_distances adj ~from:dst_loc.sw in
+      let snap = Graph.adjacency g in
+      let dist = Adjacency.bfs_distances snap ~from:dst_loc.sw in
       let routes = ref [] in
       let count = ref 0 in
       let rec dfs sw acc =
@@ -18,22 +18,16 @@ let equal_cost_paths ?(cap = 16) g ~src ~dst =
             routes := List.rev (sw :: acc) :: !routes
           end
           else
-            match Hashtbl.find_opt dist sw with
-            | None -> ()
-            | Some d ->
+            let d = Adjacency.distance dist sw in
+            if d > 0 then
               List.iter
-                (fun (_, peer, _) ->
-                  match Hashtbl.find_opt dist peer with
-                  | Some dp when dp = d - 1 -> dfs peer (sw :: acc)
-                  | Some _ | None -> ())
-                (adj sw
-                |> List.sort_uniq (fun (_, a, _) (_, b, _) -> compare a b))
+                (fun peer -> if Adjacency.distance dist peer = d - 1 then dfs peer (sw :: acc))
+                (List.sort_uniq Int.compare
+                   (List.map (fun (_, peer, _) -> peer) (Adjacency.neighbors snap sw)))
         end
       in
       dfs src_loc.sw [];
-      List.rev !routes
-      |> List.filter_map (fun route ->
-             Path.of_route ~adj ~src ~src_loc ~dst ~dst_loc route)
+      List.rev !routes |> List.filter_map (Path.of_route snap ~src ~src_loc ~dst ~dst_loc)
     | Some _, Some _ | None, _ | _, None -> []
 
 let choose ~flow paths =

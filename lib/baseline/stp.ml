@@ -7,9 +7,9 @@ type t = {
      the root. *)
   parent : (switch_id, port * switch_id * port) Hashtbl.t;
   depth : (switch_id, int) Hashtbl.t;
-  (* Tree adjacency snapshot taken at build time: forwarding keeps
-     using it until the modelled re-convergence replaces the tree. *)
-  adj : (switch_id, (port * switch_id * port) list) Hashtbl.t;
+  (* The tree's cables, packed at build time: forwarding keeps using
+     them until the modelled re-convergence replaces the tree. *)
+  adj : Adjacency.t;
   tree : Link_set.t;
   host_loc : (host_id, link_end) Hashtbl.t;
 }
@@ -20,7 +20,6 @@ let build g =
   | root :: _ ->
     let parent = Hashtbl.create 64 in
     let depth = Hashtbl.create 64 in
-    let adj = Hashtbl.create 64 in
     let tree = ref Link_set.empty in
     Hashtbl.replace depth root 0;
     let q = Queue.create () in
@@ -42,11 +41,6 @@ let build g =
               Link_set.add
                 (Link_key.make { sw; port = out } { sw = peer; port = peer_in })
                 !tree;
-            let add a entry =
-              Hashtbl.replace adj a (entry :: Option.value ~default:[] (Hashtbl.find_opt adj a))
-            in
-            add sw (out, peer, peer_in);
-            add peer (peer_in, sw, out);
             Queue.add peer q
           end)
         (Graph.switch_neighbors g sw)
@@ -58,15 +52,22 @@ let build g =
         | Some loc when Graph.link_up g loc -> Hashtbl.replace host_loc h loc
         | Some _ | None -> ())
       (Graph.host_ids g);
-    { root; parent; depth; adj; tree = !tree; host_loc }
+    let cables =
+      Array.concat
+        (List.map
+           (fun key ->
+             let a, b = Link_key.ends key in
+             [| a.sw; a.port; b.sw; b.port |])
+           (Link_set.elements !tree))
+    in
+    let switches = Array.of_list (List.filter (Hashtbl.mem depth) (Graph.switch_ids g)) in
+    { root; parent; depth; adj = Adjacency.of_cables ~switches cables; tree = !tree; host_loc }
 
 let root t = t.root
 
 let tree_links t = Link_set.elements t.tree
 
 let blocks t key = not (Link_set.mem key t.tree)
-
-let tree_adjacency t sw = Option.value ~default:[] (Hashtbl.find_opt t.adj sw)
 
 (* Climb both endpoints to their lowest common ancestor. *)
 let switch_route t a b =
@@ -88,21 +89,16 @@ let switch_route t a b =
     | None, _ -> None
   end
 
-let path t g ~src ~dst =
+let path t ~src ~dst =
   if src = dst then None
   else
     match (Hashtbl.find_opt t.host_loc src, Hashtbl.find_opt t.host_loc dst) with
-    | Some src_loc, Some dst_loc -> (
-      ignore g;
-      match switch_route t src_loc.sw dst_loc.sw with
-      | None -> None
-      | Some route ->
-        Path.of_route ~adj:(tree_adjacency t) ~src ~src_loc ~dst ~dst_loc route)
+    | Some src_loc, Some dst_loc ->
+      Option.bind (switch_route t src_loc.sw dst_loc.sw)
+        (Path.of_route t.adj ~src ~src_loc ~dst ~dst_loc)
     | None, _ | _, None -> None
 
-let routing_fn tref agent ~now_ns:_ ~dst ~flow:_ =
-  let g = Dumbnet_sim.Network.graph (Dumbnet_host.Agent.network agent) in
-  path !tref g ~src:(Dumbnet_host.Agent.self agent) ~dst
+let routing_fn tref agent ~now_ns:_ ~dst ~flow:_ = path !tref ~src:(Dumbnet_host.Agent.self agent) ~dst
 
 let bpdu_round_ns = 8_000_000
 

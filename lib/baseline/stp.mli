@@ -25,7 +25,7 @@ val tree_links : t -> Link_key.t list
 val blocks : t -> Link_key.t -> bool
 (** [true] for up links not on the tree (the ports STP would block). *)
 
-val path : t -> Graph.t -> src:host_id -> dst:host_id -> Path.t option
+val path : t -> src:host_id -> dst:host_id -> Path.t option
 (** The unique tree path between two hosts. *)
 
 val routing_fn : t ref -> Dumbnet_host.Agent.routing_fn

@@ -50,7 +50,7 @@ let run_mode mode =
   Engine.schedule_at eng ~at_ns:t_fail (fun () ->
       let path =
         match mode with
-        | Stp_mode -> Stp.path !tref g ~src ~dst
+        | Stp_mode -> Stp.path !tref ~src ~dst
         | Dumbnet_mode ->
           Pathtable.choose (Agent.pathtable (Dumbnet.Fabric.agent fab src)) ~dst ~flow:0
       in

@@ -13,7 +13,7 @@ let samples_per_point = 5
 
 (* Host pairs whose switch distance is exactly [len]. *)
 let pairs_at_distance g rng hosts ~len ~count =
-  let adj = Routing.graph_adjacency g in
+  let snap = Graph.adjacency g in
   let located =
     List.filter_map
       (fun h -> Option.map (fun loc -> (h, loc.Types.sw)) (Graph.host_location g h))
@@ -25,11 +25,9 @@ let pairs_at_distance g rng hosts ~len ~count =
   while List.length !found < count && !attempts < 2000 do
     incr attempts;
     let src, src_sw = Rng.pick_array rng arr in
-    let dist = Routing.bfs_distances adj ~from:src_sw in
+    let dist = Adjacency.bfs_distances snap ~from:src_sw in
     let candidates =
-      List.filter
-        (fun (h, sw) -> h <> src && Hashtbl.find_opt dist sw = Some (len - 1))
-        located
+      List.filter (fun (h, sw) -> h <> src && Adjacency.distance dist sw = len - 1) located
     in
     match candidates with
     | [] -> ()
@@ -40,7 +38,7 @@ let pairs_at_distance g rng hosts ~len ~count =
   !found
 
 (* Simple a->b paths of bounded length in the full graph (DFS). *)
-let count_segment_paths adj ~src ~dst ~max_len ~cap =
+let count_segment_paths snap ~src ~dst ~max_len ~cap =
   let count = ref 0 in
   let visited = Hashtbl.create 16 in
   let rec dfs sw depth =
@@ -50,7 +48,7 @@ let count_segment_paths adj ~src ~dst ~max_len ~cap =
         Hashtbl.replace visited sw ();
         List.iter
           (fun (_, peer, _) -> if not (Hashtbl.mem visited peer) then dfs peer (depth + 1))
-          (adj sw);
+          (Adjacency.neighbors snap sw);
         Hashtbl.remove visited sw
       end
     end
@@ -61,7 +59,7 @@ let count_segment_paths adj ~src ~dst ~max_len ~cap =
 (* The figure's metric: primary + backup + the s-step local detours
    summed over Algorithm 1's windows (stride s/2). *)
 let additive_path_count g ~s ~eps pg =
-  let adj = Routing.graph_adjacency g in
+  let snap = Graph.adjacency g in
   let route = Array.of_list (Path.switches (Pathgraph.primary pg)) in
   let len = Array.length route in
   let stride = max 1 (s / 2) in
@@ -72,7 +70,7 @@ let additive_path_count g ~s ~eps pg =
     let b_idx = min (!i + s) (len - 1) in
     let window = b_idx - !i in
     let alternatives =
-      count_segment_paths adj ~src:a ~dst:route.(b_idx) ~max_len:(window + eps) ~cap:10_000
+      count_segment_paths snap ~src:a ~dst:route.(b_idx) ~max_len:(window + eps) ~cap:10_000
     in
     (* The primary's own segment is one of them. *)
     detours := !detours + max 0 (alternatives - 1);

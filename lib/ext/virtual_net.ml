@@ -64,7 +64,7 @@ let verifier t ~tenant ~src ~dst =
     | Some src_loc, Some dst_loc ->
       Some
         (Verifier.create ~allowed_switches:ten.switches
-           ~view:(Routing.graph_adjacency g) ~src_loc ~dst_loc ())
+           ~view:(Graph.adjacency g) ~src_loc ~dst_loc ())
     | None, _ | _, None -> None)
 
 let isolated t ~tenant path =

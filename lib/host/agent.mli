@@ -88,7 +88,7 @@ val install_custom_path : t -> dst:host_id -> Path.t -> (unit, Verifier.violatio
     view before being admitted to the PathTable (prepended as the
     preferred choice). *)
 
-val reveal_topology : t -> dst:host_id -> Path.adjacency option
+val reveal_topology : t -> dst:host_id -> Adjacency.t option
 (** Give an application the cached (failure-filtered) subgraph. *)
 
 (** {1 Cache interiors} *)

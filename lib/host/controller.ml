@@ -210,22 +210,17 @@ let probe_new_link t le =
     match Graph.host_location g self with
     | None -> ()
     | Some own_loc -> (
-      let adj = Dumbnet_topology.Routing.graph_adjacency g in
-      match
-        Dumbnet_topology.Routing.shortest_route adj ~src:own_loc.sw ~dst:le.sw
-      with
+      let snap = Graph.adjacency g in
+      match Adjacency.shortest_route snap ~src:own_loc.sw ~dst:le.sw with
       | None -> ()
       | Some route_to_sw -> (
         (* Forward tags to the switch, and its reverse back to us. *)
-        let snap = Graph.adjacency g in
         let rec ports acc = function
           | [] | [ _ ] -> Some (List.rev acc)
           | a :: (b :: _ as rest) -> (
-            match
-              List.find_opt (fun (_, peer, _) -> peer = b) (Adjacency.neighbors snap a)
-            with
-            | Some (out, _, _) -> ports (out :: acc) rest
-            | None -> None)
+            match Adjacency.lowest_port_toward snap a b with
+            | -1 -> None
+            | out -> ports (out :: acc) rest)
         in
         let rev_route = List.rev route_to_sw in
         match (ports [] route_to_sw, ports [] rev_route) with

@@ -37,11 +37,7 @@ let note_end t le ~up =
 
 let failed_ends t = End_set.elements t.failed
 
-let resolve_in_pathgraph pg (le : link_end) =
-  List.find_map
-    (fun (out, peer, peer_in) ->
-      if out = le.port then Some { sw = peer; port = peer_in } else None)
-    (Pathgraph.adjacency pg le.sw)
+let resolve_in_pathgraph pg le = Adjacency.peer_at (Pathgraph.adjacency pg) le
 
 let resolve_end t le =
   Hashtbl.fold
@@ -85,14 +81,4 @@ let materialize t ~dst =
 let reveal t ~dst =
   match Hashtbl.find_opt t.graphs dst with
   | None -> None
-  | Some pg ->
-    let avoid = avoid_set t pg in
-    Some
-      (fun sw ->
-        List.filter
-          (fun (out, peer, peer_in) ->
-            not
-              (Link_set.mem
-                 (Link_key.make { sw; port = out } { sw = peer; port = peer_in })
-                 avoid))
-          (Pathgraph.adjacency pg sw))
+  | Some pg -> Some (Pathgraph.adjacency ~avoid:(avoid_set t pg) pg)

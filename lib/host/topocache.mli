@@ -45,7 +45,7 @@ val materialize : t -> dst:host_id -> Pathtable.entry option
     skipping failed links. [None] if nothing is cached or the subgraph
     is fully broken. *)
 
-val reveal : t -> dst:host_id -> Path.adjacency option
+val reveal : t -> dst:host_id -> Adjacency.t option
 (** The extension interface of §6.1: expose the cached (overlay-
     filtered) topology view to an application that wants to run its own
     routing function. *)

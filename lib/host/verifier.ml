@@ -11,7 +11,7 @@ type t = {
   allowed_switches : Switch_set.t option;
   max_hops : int option;
   policies : (string * (Path.t -> bool)) list;
-  view : Path.adjacency;
+  view : Adjacency.t;
   src_loc : link_end;
   dst_loc : link_end;
 }
@@ -31,8 +31,8 @@ let structural t (path : Path.t) =
     | (sw, out) :: rest ->
       if sw <> current then Error (Broken_at idx)
       else begin
-        match List.find_opt (fun (o, _, _) -> o = out) (t.view sw) with
-        | Some (_, peer, _) -> walk (idx + 1) peer rest
+        match Adjacency.peer_at t.view { sw; port = out } with
+        | Some peer -> walk (idx + 1) peer.sw rest
         | None -> Error (Broken_at idx)
       end
   in
@@ -60,8 +60,6 @@ let verify t path =
   match List.find_opt (fun (_, p) -> not (p path)) t.policies with
   | Some (name, _) -> Error (Policy_rejected name)
   | None -> Ok ()
-
-let verify_against_graph = Path.validate
 
 let pp_violation ppf = function
   | Broken_at i -> Format.fprintf ppf "broken at hop %d" i

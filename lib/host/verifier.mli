@@ -22,16 +22,12 @@ val create :
   ?allowed_switches:Switch_set.t ->
   ?max_hops:int ->
   ?policies:(string * (Path.t -> bool)) list ->
-  view:Path.adjacency ->
+  view:Adjacency.t ->
   src_loc:link_end ->
   dst_loc:link_end ->
   unit ->
   t
 
 val verify : t -> Path.t -> (unit, violation) result
-
-val verify_against_graph : Graph.t -> Path.t -> bool
-(** Structural check against a full topology (the controller-side and
-    Table-2 micro-benchmark variant): {!Path.validate}. *)
 
 val pp_violation : Format.formatter -> violation -> unit

@@ -89,10 +89,10 @@ type leg = {
 let path_legs ~adj (path : Path.t) =
   let rec walk acc = function
     | (s1, p1) :: ((s2, _) :: _ as rest) -> (
-      match List.find_opt (fun (op, peer, _) -> op = p1 && peer = s2) (adj s1) with
-      | Some (_, _, q) ->
-        walk ({ leg_from = { sw = s1; port = p1 }; leg_to = { sw = s2; port = q } } :: acc) rest
-      | None -> raise Unknown_link)
+      let leg_from = { sw = s1; port = p1 } in
+      match Adjacency.peer_at adj leg_from with
+      | Some leg_to when leg_to.sw = s2 -> walk ({ leg_from; leg_to } :: acc) rest
+      | Some _ | None -> raise Unknown_link)
     | [ _ ] | [] -> List.rev acc
   in
   try Some (walk [] path.Path.hops) with Unknown_link -> None

@@ -98,7 +98,7 @@ type leg = {
   leg_to : link_end;
 }
 
-val path_legs : adj:Path.adjacency -> Path.t -> leg list option
+val path_legs : adj:Adjacency.t -> Path.t -> leg list option
 (** The cables a cached path crosses, in order, resolved against the
     path graph's adjacency — [None] if the adjacency does not cover a
     hop. The diagnosis engine derives both its probe continuations and

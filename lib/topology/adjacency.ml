@@ -1,5 +1,6 @@
 open Types
 module Rng = Dumbnet_util.Rng
+module Heap = Dumbnet_util.Heap
 
 type t = {
   generation : int;
@@ -8,13 +9,7 @@ type t = {
   out_port : int array;
   peer_idx : int array; (* compact index of the peer, -1 if unknown *)
   peer_port : int array;
-  (* Prebuilt per-switch lists, port order, for a graph snapshot;
-     [||] for a packed subgraph ({!of_cables}), whose lists are built
-     on each {!neighbors} call: hosts cache thousands of subgraphs and
-     read few of their rows, and prebuilding every subgraph's lists
-     cost fabbench querystorm_ft16 10.5 MiB of peak RSS (90.3 -> 100.8)
-     and 2-11% of its queries/s, 3 of 3 15 s runs on 2 cores. *)
-  nbr : (port * switch_id * port) list array;
+  widest : int; (* the longest row: a bound on one switch's distinct peers *)
 }
 
 let[@dumbnet.hot] generation t = t.generation
@@ -43,6 +38,13 @@ let[@dumbnet.hot] id_bound t =
   let n = Array.length t.ids in
   if n = 0 then 0 else t.ids.(n - 1) + 1
 
+let[@dumbnet.hot] longest_row row =
+  let w = ref 0 in
+  for i = 0 to Array.length row - 2 do
+    w := max !w (row.(i + 1) - row.(i))
+  done;
+  !w
+
 let[@dumbnet.hot] build ~generation per_switch =
   let n = List.length per_switch in
   let ids = Array.make n 0 in
@@ -61,12 +63,11 @@ let[@dumbnet.hot] build ~generation per_switch =
       out_port = Array.make m 0;
       peer_idx = Array.make m (-1);
       peer_port = Array.make m 0;
-      nbr = Array.make n [];
+      widest = longest_row row;
     }
   in
   List.iteri
     (fun i (_, l) ->
-      t.nbr.(i) <- l;
       List.iteri
         (fun j (out, peer, pin) ->
           let e = row.(i) + j in
@@ -105,7 +106,7 @@ let[@dumbnet.hot] of_cables ~switches cables =
       out_port = Array.make (2 * m) 0;
       peer_idx = Array.make (2 * m) 0;
       peer_port = Array.make (2 * m) 0;
-      nbr = [||];
+      widest = 0;
     }
   in
   let ends = Array.make (2 * m) 0 in
@@ -137,7 +138,7 @@ let[@dumbnet.hot] of_cables ~switches cables =
   for i = 0 to n - 1 do
     sort_row t i
   done;
-  t
+  { t with widest = longest_row t.row }
 
 let[@dumbnet.hot] induced t mark =
   let marked sw = sw >= 0 && sw < Bytes.length mark && Bytes.get mark sw <> '\000' in
@@ -171,21 +172,36 @@ let[@dumbnet.hot] induced t mark =
       c := !c + 4);
   cables
 
-let[@dumbnet.hot] row_list t i =
+(* Row [i] as a list, port order; built on each call. Hosts cache
+   thousands of packed subgraphs and read few of their rows:
+   prebuilding every subgraph's lists cost fabbench querystorm_ft16
+   10.5 MiB of peak RSS (90.3 -> 100.8) and 2-11% of its queries/s,
+   3 of 3 15 s runs on 2 cores. *)
+let[@dumbnet.hot] neighbors t sw =
+  let i = find t sw in
   let rec go e acc =
     if e < t.row.(i) then acc
     else
       let k = t.peer_idx.(e) in
       go (e - 1) (if k >= 0 then (t.out_port.(e), t.ids.(k), t.peer_port.(e)) :: acc else acc)
   in
-  go (t.row.(i + 1) - 1) []
+  if i < 0 then [] else go (t.row.(i + 1) - 1) []
 
-let[@dumbnet.hot] neighbors t sw =
-  let i = find t sw in
-  if i < 0 then [] else if i < Array.length t.nbr then t.nbr.(i) else row_list t i
+let peer_at t (le : link_end) =
+  let i = find t le.sw in
+  let found = ref (-1) in
+  if i >= 0 then begin
+    let e = ref t.row.(i) in
+    while !found < 0 && !e < t.row.(i + 1) do
+      if t.out_port.(!e) = le.port && t.peer_idx.(!e) >= 0 then found := !e;
+      incr e
+    done
+  end;
+  if !found < 0 then None
+  else Some { sw = t.ids.(t.peer_idx.(!found)); port = t.peer_port.(!found) }
 
-let[@dumbnet.hot] fn t sw = neighbors t sw
-
+(* Rows are in port order, so the first edge toward [b] has the lowest
+   port. *)
 let[@dumbnet.hot] lowest_port_toward t a b =
   let i = find t a in
   let port = ref (-1) in
@@ -242,24 +258,38 @@ type avoiding =
   | Too_long
   | Unreachable
 
+(* Each switch's position on the loop-free route [avoid] by compact
+   index, -1 off it: a cable joins two switches adjacent on the route
+   iff its ends sit at positions one apart. *)
+let[@dumbnet.hot] positions t avoid =
+  let pos = Array.make (Array.length t.ids) (-1) in
+  List.iteri
+    (fun p sw ->
+      let i = find t sw in
+      if i >= 0 then pos.(i) <- p)
+    avoid;
+  pos
+
+let[@dumbnet.hot] adjacent_on pos i k = pos.(i) >= 0 && pos.(k) >= 0 && abs (pos.(i) - pos.(k)) = 1
+
+(* The switch ids from compact index [s] to [i] along [pred], each
+   switch's predecessor, and the number of hops. *)
+let[@dumbnet.hot] back_route t pred s i =
+  let rec back i hops acc =
+    if i = s then (hops, t.ids.(i) :: acc) else back pred.(i) (hops + 1) (t.ids.(i) :: acc)
+  in
+  back i 0 []
+
 (* FIFO BFS from [src] over the snapshot minus every cable joining two
-   switches adjacent on [avoid] (a loop-free route): [pos] holds each
-   switch's position on [avoid], so such a cable is one whose ends sit
-   at positions one apart. Neighbours are visited in CSR order, the
-   order [fn] lists them; [pred] records each switch's discoverer and
-   doubles as the visited mark. The search stops as soon as [dst] is
-   discovered. *)
+   switches adjacent on [avoid]. Neighbours are visited in CSR order;
+   [pred] records each switch's discoverer and doubles as the visited
+   mark. The search stops as soon as [dst] is discovered. *)
 let[@dumbnet.hot] route_avoiding t ~avoid ~max_hops ~src ~dst =
   let s = find t src and goal = find t dst in
   if s < 0 || goal < 0 then Unreachable
   else begin
     let n = Array.length t.ids in
-    let pos = Array.make n (-1) in
-    List.iteri
-      (fun p sw ->
-        let i = find t sw in
-        if i >= 0 then pos.(i) <- p)
-      avoid;
+    let pos = positions t avoid in
     let pred = Array.make n (-1) in
     let queue = Array.make n 0 in
     pred.(s) <- s;
@@ -268,11 +298,9 @@ let[@dumbnet.hot] route_avoiding t ~avoid ~max_hops ~src ~dst =
     while !head < !tail && pred.(goal) < 0 do
       let i = queue.(!head) in
       incr head;
-      let pi = pos.(i) in
       for e = t.row.(i) to t.row.(i + 1) - 1 do
         let k = t.peer_idx.(e) in
-        if k >= 0 && pred.(k) < 0 && not (pi >= 0 && pos.(k) >= 0 && abs (pi - pos.(k)) = 1)
-        then begin
+        if k >= 0 && pred.(k) < 0 && not (adjacent_on pos i k) then begin
           pred.(k) <- i;
           queue.(!tail) <- k;
           incr tail
@@ -281,29 +309,81 @@ let[@dumbnet.hot] route_avoiding t ~avoid ~max_hops ~src ~dst =
     done;
     if pred.(goal) < 0 then Unreachable
     else begin
-      let rec back i hops acc =
-        if i = s then (hops, t.ids.(i) :: acc) else back pred.(i) (hops + 1) (t.ids.(i) :: acc)
-      in
-      let hops, route = back goal 0 [] in
+      let hops, route = back_route t pred s goal in
       if hops < max_hops then Route route else Too_long
     end
   end
 
-(* Yen's k shortest loop-free routes, on the CSR rows by compact index.
-   One [yen] scratch serves every spur search of a call. A ban is the
-   stamp of the spur search that set it, so a new spur clears nothing:
-   [ban_node] marks the root prefix, [ban_edge] the directed edge slots
-   of every cable between a banned switch pair. *)
-type yen = {
+(* Dijkstra on int weights over a FIFO heap: equal distances pop in
+   push order, and each row relaxes in port order. [prev] holds each
+   switch's predecessor; [settled] marks the popped ones. *)
+let[@dumbnet.hot] penalized_route t ~penalty ~avoid ~src ~dst =
+  let s = find t src and goal = find t dst in
+  if src = dst then Some [ src ]
+  else if s < 0 || goal < 0 then None
+  else begin
+    let n = Array.length t.ids in
+    let pos = positions t avoid in
+    let dist = Array.make n (-1) and prev = Array.make n (-1) in
+    let settled = Bytes.make n '\000' in
+    let heap = Heap.create ~compare:Int.compare in
+    dist.(s) <- 0;
+    Heap.push heap 0 s;
+    let finished = ref false in
+    while not !finished do
+      match Heap.pop heap with
+      | None -> finished := true
+      | Some (d, i) ->
+        if Bytes.get settled i = '\000' then begin
+          Bytes.set settled i '\001';
+          if i = goal then finished := true
+          else
+            for e = t.row.(i) to t.row.(i + 1) - 1 do
+              let k = t.peer_idx.(e) in
+              if k >= 0 then begin
+                let alt = d + if adjacent_on pos i k then penalty else 1 in
+                if dist.(k) < 0 || alt < dist.(k) then begin
+                  dist.(k) <- alt;
+                  prev.(k) <- i;
+                  Heap.push heap alt k
+                end
+              end
+            done
+        end
+    done;
+    if prev.(goal) < 0 then None else Some (snd (back_route t prev s goal))
+  end
+
+(* The scratch of the shortest-walk searches: one primary walk, or
+   every spur search of one Yen call. A ban is the stamp of the spur
+   search that set it, so a new spur clears nothing: [ban_node] marks
+   the root prefix, [ban_edge] the directed edge slots of every cable
+   between a banned switch pair. A search that bans nothing leaves
+   both empty, and so does a walk down a given table its [queue].
+   [cand] is sized by the longest row and a walk's output by its
+   length, not by the snapshot, so a primary walk on a large fabric
+   allocates nothing in the major heap. *)
+type search = {
   snap : t;
-  dist : int array; (* hops to the goal, -1 if not discovered *)
+  dist : int array; (* hops to the goal by compact index, -1 if not discovered *)
   queue : int array;
   ban_node : int array;
   ban_edge : int array;
   cand : int array; (* next-step candidates, distinct and ascending *)
-  walk : int array; (* the switches a walk visits after its start *)
   mutable stamp : int;
 }
+
+let[@dumbnet.hot] search t ~dist ~queue ~bans =
+  let n = Array.length t.ids in
+  {
+    snap = t;
+    dist;
+    queue;
+    ban_node = (if bans then Array.make n (-1) else [||]);
+    ban_edge = (if bans then Array.make (num_edges t) (-1) else [||]);
+    cand = Array.make t.widest 0;
+    stamp = 0;
+  }
 
 let[@dumbnet.hot] ban_cables y a b =
   let t = y.snap in
@@ -335,7 +415,8 @@ let[@dumbnet.hot] ban_root y last i chosen =
    holds its exact distance, and those are the only ones a walk from
    [from] reads. *)
 let[@dumbnet.hot] spur_distances y ~goal ~from =
-  let t = y.snap in
+  let t = y.snap and stamp = y.stamp in
+  let bans = Array.length y.ban_edge > 0 in
   Array.fill y.dist 0 (Array.length y.dist) (-1);
   y.dist.(goal) <- 0;
   y.queue.(0) <- goal;
@@ -346,7 +427,8 @@ let[@dumbnet.hot] spur_distances y ~goal ~from =
     let d = y.dist.(i) + 1 in
     for e = t.row.(i) to t.row.(i + 1) - 1 do
       let k = t.peer_idx.(e) in
-      if k >= 0 && y.dist.(k) < 0 && y.ban_edge.(e) <> y.stamp && y.ban_node.(k) <> y.stamp
+      if k >= 0 && y.dist.(k) < 0
+         && not (bans && (y.ban_edge.(e) = stamp || y.ban_node.(k) = stamp))
       then begin
         y.dist.(k) <- d;
         y.queue.(!tail) <- k;
@@ -370,13 +452,15 @@ let[@dumbnet.hot] add_candidate y c k =
     c + 1
   end
 
-(* Walk from [from] down the distance table, one hop closer per step,
-   over unbanned cables; with [rng], one uniform draw among the distinct
-   candidate peers at every step (even a lone one), else the lowest
-   switch id. Fills [walk] and returns its length, or -1 if [from] is
-   cut off from the goal. *)
-let[@dumbnet.hot] walk_down y rng ~from =
-  let t = y.snap in
+(* The one shortest walk: from [from] down the distance table, one hop
+   closer per step, over unbanned cables; with [rng], one uniform draw
+   among the distinct candidate peers at every step (even a lone one),
+   else the lowest switch id. Fills [walk] with the switches after
+   [from] and returns their number, or -1 if [from] is cut off from the
+   goal. *)
+let[@dumbnet.hot] walk_down y rng ~from walk =
+  let t = y.snap and stamp = y.stamp in
+  let bans = Array.length y.ban_edge > 0 in
   let d0 = y.dist.(from) in
   let rec step i left n =
     if left = 0 then n
@@ -384,7 +468,7 @@ let[@dumbnet.hot] walk_down y rng ~from =
       let c = ref 0 in
       for e = t.row.(i) to t.row.(i + 1) - 1 do
         let k = t.peer_idx.(e) in
-        if k >= 0 && y.ban_edge.(e) <> y.stamp && y.dist.(k) = left - 1 then
+        if k >= 0 && y.dist.(k) = left - 1 && not (bans && y.ban_edge.(e) = stamp) then
           c := add_candidate y !c k
       done;
       if !c = 0 then -1
@@ -394,12 +478,38 @@ let[@dumbnet.hot] walk_down y rng ~from =
           | Some rng -> y.cand.(Rng.int rng !c)
           | None -> y.cand.(0)
         in
-        y.walk.(n) <- next;
+        walk.(n) <- next;
         step next (left - 1) (n + 1)
       end
     end
   in
   if d0 < 0 then -1 else step from d0 0
+
+(* [d] by compact index: [d] itself when the ids are dense. *)
+let[@dumbnet.hot] compact_distances t d =
+  let n = Array.length t.ids in
+  if t.ids.(n - 1) = n - 1 && Array.length d >= n then d
+  else Array.init n (fun i -> distance d t.ids.(i))
+
+let[@dumbnet.hot] shortest_route ?rng ?dist t ~src ~dst =
+  let s = find t src and goal = find t dst in
+  if src = dst then Some [ src ]
+  else if s < 0 || goal < 0 then None
+  else begin
+    let y =
+      match dist with
+      | Some d -> search t ~dist:(compact_distances t d) ~queue:[||] ~bans:false
+      | None ->
+        let n = Array.length t.ids in
+        let y = search t ~dist:(Array.make n (-1)) ~queue:(Array.make n 0) ~bans:false in
+        spur_distances y ~goal ~from:s;
+        y
+    in
+    let walk = Array.make (max 0 y.dist.(s)) 0 in
+    let len = walk_down y rng ~from:s walk in
+    let rec route j acc = if j < 0 then acc else route (j - 1) (t.ids.(walk.(j)) :: acc) in
+    if len < 0 then None else Some (t.ids.(s) :: route (len - 1) [])
+  end
 
 (* Candidates stay sorted by length, ties in insertion order. *)
 let[@dumbnet.hot] rec insert_candidate route = function
@@ -418,27 +528,17 @@ let[@dumbnet.hot] k_shortest_routes ?rng t ~src ~dst ~k =
     if s < 0 || goal < 0 then []
     else begin
       let n = Array.length t.ids in
-      let y =
-        {
-          snap = t;
-          dist = Array.make n (-1);
-          queue = Array.make n 0;
-          ban_node = Array.make n (-1);
-          ban_edge = Array.make (num_edges t) (-1);
-          cand = Array.make n 0;
-          walk = Array.make n 0;
-          stamp = 0;
-        }
-      in
+      let y = search t ~dist:(Array.make n (-1)) ~queue:(Array.make n 0) ~bans:true in
+      let walk = Array.make n 0 in
       spur_distances y ~goal ~from:s;
       (* [root.(0..i)] followed by the [len] switches of the last walk. *)
       let splice root i len =
         let route = Array.make (i + 1 + len) 0 in
         Array.blit root 0 route 0 (i + 1);
-        Array.blit y.walk 0 route (i + 1) len;
+        Array.blit walk 0 route (i + 1) len;
         route
       in
-      let len = walk_down y rng ~from:s in
+      let len = walk_down y rng ~from:s walk in
       if len < 0 then []
       else begin
         let first = splice [| s |] 0 len in
@@ -451,7 +551,7 @@ let[@dumbnet.hot] k_shortest_routes ?rng t ~src ~dst ~k =
               y.stamp <- y.stamp + 1;
               ban_root y last i chosen;
               spur_distances y ~goal ~from:last.(i);
-              let len = walk_down y rng ~from:last.(i) in
+              let len = walk_down y rng ~from:last.(i) walk in
               if len >= 0 then begin
                 let route = splice last i len in
                 if not (List.mem route !seen) then begin

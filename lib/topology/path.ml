@@ -6,20 +6,18 @@ type t = {
   dst : host_id;
 }
 
-type adjacency = switch_id -> (port * switch_id * port) list
-
 let length t = List.length t.hops
 
 let[@dumbnet.hot] tags t = List.map snd t.hops
 
 let switches t = List.map fst t.hops
 
-let[@dumbnet.hot] of_route_toward ~toward ~src ~src_loc ~dst ~dst_loc route =
+let[@dumbnet.hot] of_route adj ~src ~src_loc ~dst ~dst_loc route =
   let rec build acc = function
     | [] -> None
     | [ last ] -> if last = dst_loc.sw then Some (List.rev ((last, dst_loc.port) :: acc)) else None
     | a :: (b :: _ as rest) ->
-      let out = toward a b in
+      let out = Adjacency.lowest_port_toward adj a b in
       if out < 0 then None else build ((a, out) :: acc) rest
   in
   match route with
@@ -27,13 +25,6 @@ let[@dumbnet.hot] of_route_toward ~toward ~src ~src_loc ~dst ~dst_loc route =
   | first :: _ ->
     if first <> src_loc.sw then None
     else Option.map (fun hops -> { src; hops; dst }) (build [] route)
-
-let[@dumbnet.hot] lowest_port adj a b =
-  List.fold_left
-    (fun best (out, peer, _) -> if peer = b && (best < 0 || out < best) then out else best)
-    (-1) (adj a)
-
-let[@dumbnet.hot] of_route ~adj = of_route_toward ~toward:(lowest_port adj)
 
 (* Walk the tags through the graph like the switch chain would. Returns
    the final endpoint if every link on the way is present and up. *)

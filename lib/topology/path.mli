@@ -12,10 +12,6 @@ type t = {
   dst : host_id;
 }
 
-type adjacency = switch_id -> (port * switch_id * port) list
-(** Up switch-to-switch adjacency: [(out_port, peer, peer_in_port)].
-    Both {!Graph} and path-graph caches provide this view. *)
-
 val length : t -> int
 (** Number of switch hops. *)
 
@@ -25,29 +21,19 @@ val tags : t -> port list
 val switches : t -> switch_id list
 
 val of_route :
-  adj:adjacency ->
+  Adjacency.t ->
   src:host_id ->
   src_loc:link_end ->
   dst:host_id ->
   dst_loc:link_end ->
   switch_id list ->
   t option
-(** [of_route ~adj ~src ~src_loc ~dst ~dst_loc route] converts an ordered
+(** [of_route adj ~src ~src_loc ~dst ~dst_loc route] converts an ordered
     switch sequence (starting at [src]'s switch and ending at [dst]'s)
     into a concrete path, choosing for each consecutive switch pair the
-    lowest-numbered up link. [None] if the route does not start/end at
-    the right switches or a consecutive pair is not adjacent. *)
-
-val of_route_toward :
-  toward:(switch_id -> switch_id -> port) ->
-  src:host_id ->
-  src_loc:link_end ->
-  dst:host_id ->
-  dst_loc:link_end ->
-  switch_id list ->
-  t option
-(** {!of_route} with the link choice given directly: [toward a b] is
-    the out port from [a] to [b], or a negative number if none. *)
+    lowest-numbered cable of [adj]. [None] if the route does not
+    start/end at the right switches or a consecutive pair is not
+    adjacent. *)
 
 val validate : Graph.t -> t -> bool
 (** [true] iff walking the graph from [src]'s port with these tags

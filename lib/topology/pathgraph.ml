@@ -41,8 +41,6 @@ let switch_count t = Array.length t.sub.switches
 
 let switches t = Array.fold_left (fun acc sw -> Switch_set.add sw acc) Switch_set.empty t.sub.switches
 
-let adjacency t sw = Adjacency.neighbors t.sub.csr sw
-
 let[@dumbnet.hot] link_count t = Array.length t.sub.cables / 4
 
 (* Record [i] of [x] against record [j] of [y], both of [stride]
@@ -127,10 +125,9 @@ let[@dumbnet.hot] body ?(s = default_s) ?(eps = default_eps) ?rng ?dist g ~src_s
     | None -> fun ~from -> Adjacency.bfs_distances snap ~from
   in
   let primary_route =
+    (* A same-switch pair reads no distance table. *)
     if src_sw = dst_sw then Some [ src_sw ]
-    else
-      Routing.route_via_distances ?rng (Adjacency.fn snap) ~src:src_sw ~dst:dst_sw
-        (Adjacency.distance (dist_from ~from:dst_sw))
+    else Adjacency.shortest_route ?rng ~dist:(dist_from ~from:dst_sw) snap ~src:src_sw ~dst:dst_sw
   in
   match primary_route with
   | None -> None
@@ -167,8 +164,7 @@ let[@dumbnet.hot] body ?(s = default_s) ?(eps = default_eps) ?rng ?dist g ~src_s
     Some { route; backup_route; b_sub = sub_of ~switches:(marked mark) (Adjacency.induced snap mark) }
 
 let[@dumbnet.hot] stamp_at g b ~src ~src_loc ~dst ~dst_loc =
-  let adj = Adjacency.fn (Graph.adjacency g) in
-  let path route = Path.of_route ~adj ~src ~src_loc ~dst ~dst_loc route in
+  let path = Path.of_route (Graph.adjacency g) ~src ~src_loc ~dst ~dst_loc in
   match path b.route with
   | None -> None
   | Some primary ->
@@ -195,28 +191,9 @@ let generate ?s ?eps ?rng ?dist g ~src ~dst =
     Option.bind (body ?s ?eps ?rng ?dist g ~src_sw:src_loc.sw ~dst_sw:dst_loc.sw) (fun b ->
         stamp_at g b ~src ~src_loc ~dst ~dst_loc)
 
-let adjacency_avoiding t avoid sw =
-  List.filter
-    (fun (out, peer, peer_in) ->
-      not
-        (Link_set.mem
-           (Link_key.make { sw; port = out } { sw = peer; port = peer_in })
-           avoid))
-    (adjacency t sw)
-
-let effective_adjacency t = function
-  | None -> adjacency t
-  | Some avoid -> if Link_set.is_empty avoid then adjacency t else adjacency_avoiding t avoid
-
-let find_route ?rng ?avoid t =
-  let adj = effective_adjacency t avoid in
-  match Routing.shortest_route ?rng adj ~src:t.src_loc.sw ~dst:t.dst_loc.sw with
-  | None -> None
-  | Some route ->
-    Path.of_route ~adj ~src:t.src ~src_loc:t.src_loc ~dst:t.dst ~dst_loc:t.dst_loc route
-
 (* The subgraph's CSR, or with [avoid] a CSR of the cables left. *)
-let csr_avoiding t = function
+let adjacency ?avoid t =
+  match avoid with
   | Some avoid when not (Link_set.is_empty avoid) ->
     let kept = ref [] in
     iter_cables t (fun a pa b pb ->
@@ -227,12 +204,16 @@ let csr_avoiding t = function
     else Adjacency.of_cables ~switches:t.sub.switches cables
   | Some _ | None -> t.sub.csr
 
+let path_of csr t = Path.of_route csr ~src:t.src ~src_loc:t.src_loc ~dst:t.dst ~dst_loc:t.dst_loc
+
+let find_route ?rng ?avoid t =
+  let csr = adjacency ?avoid t in
+  Option.bind (Adjacency.shortest_route ?rng csr ~src:t.src_loc.sw ~dst:t.dst_loc.sw) (path_of csr t)
+
 let k_routes ?rng ?avoid t ~k =
-  let csr = csr_avoiding t avoid in
+  let csr = adjacency ?avoid t in
   Adjacency.k_shortest_routes ?rng csr ~src:t.src_loc.sw ~dst:t.dst_loc.sw ~k
-  |> List.filter_map (fun route ->
-         Path.of_route_toward ~toward:(Adjacency.lowest_port_toward csr) ~src:t.src
-           ~src_loc:t.src_loc ~dst:t.dst ~dst_loc:t.dst_loc route)
+  |> List.filter_map (path_of csr t)
 
 let reversed t =
   let swapped =
@@ -244,22 +225,20 @@ let reversed t =
     let backup =
       match t.backup with
       | None -> None
-      | Some _ ->
+      | Some _ -> (
         (* Prefer a reverse route that dodges the reverse primary's links. *)
-        let adj = adjacency swapped in
-        let weight = Routing.penalize (List.map fst primary.Path.hops) in
-        (match
-           Routing.weighted_route ~weight adj ~src:swapped.src_loc.sw ~dst:swapped.dst_loc.sw
-         with
-        | Some route when route <> List.map fst primary.Path.hops ->
-          Path.of_route ~adj ~src:swapped.src ~src_loc:swapped.src_loc ~dst:swapped.dst
-            ~dst_loc:swapped.dst_loc route
+        let route = Path.switches primary in
+        match
+          Adjacency.penalized_route t.sub.csr ~penalty:Routing.primary_penalty ~avoid:route
+            ~src:swapped.src_loc.sw ~dst:swapped.dst_loc.sw
+        with
+        | Some r when r <> route -> path_of t.sub.csr swapped r
         | Some _ | None -> None)
     in
     Some { swapped with primary; backup }
 
 let count_paths t ~max_len ~cap =
-  let adj = adjacency t in
+  let csr = adjacency t in
   let count = ref 0 in
   let visited = Hashtbl.create 32 in
   let rec dfs sw depth =
@@ -269,7 +248,7 @@ let count_paths t ~max_len ~cap =
         Hashtbl.replace visited sw ();
         List.iter
           (fun (_, peer, _) -> if not (Hashtbl.mem visited peer) then dfs peer (depth + 1))
-          (adj sw);
+          (Adjacency.neighbors csr sw);
         Hashtbl.remove visited sw
       end
     end

@@ -41,8 +41,8 @@ val generate :
     by side, and the backup route is a breadth-first search that skips
     the primary's cables and stops at the destination
     ({!Routing.backup_route}); only a backup that cannot avoid the
-    primary in under {!Routing.primary_penalty} hops runs the weighted
-    Dijkstra over the whole fabric. *)
+    primary in under {!Routing.primary_penalty} hops runs the penalized
+    Dijkstra ({!Adjacency.penalized_route}) over the whole fabric. *)
 
 (** {1 Body and stamp}
 
@@ -106,23 +106,24 @@ val iter_cables : t -> (switch_id -> port -> switch_id -> port -> unit) -> unit
 (** [iter_cables t f] calls [f a.sw a.port b.sw b.port] for each cable,
     lower end first, in wire order. *)
 
-val adjacency : t -> Path.adjacency
-(** Port order; each call builds the list. *)
+val adjacency : ?avoid:Link_set.t -> t -> Adjacency.t
+(** The subgraph's own CSR, or, when [avoid] (the host's failed-link
+    overlay) removes a cable, a CSR of the cables left. *)
 
 val find_route : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> Path.t option
-(** Best route currently available inside the subgraph,
-    skipping links in [avoid] — the host's failed-link overlay. *)
+(** Best route currently available inside the subgraph minus [avoid]:
+    {!Adjacency.shortest_route} on {!adjacency}. *)
 
 val k_routes : ?rng:Dumbnet_util.Rng.t -> ?avoid:Link_set.t -> t -> k:int -> Path.t list
 (** Up to [k] distinct loop-free routes within the subgraph minus
-    [avoid], shortest first; used to fill the host PathTable.
-    {!Adjacency.k_shortest_routes} runs on the graph's own CSR, or, when
-    [avoid] removes a cable, on a CSR of the cables left. *)
+    [avoid], shortest first; used to fill the host PathTable:
+    {!Adjacency.k_shortest_routes} on {!adjacency}. *)
 
 val reversed : t -> t option
 (** The same subgraph serving the opposite direction: endpoints swapped
     and primary/backup recomputed. [None] if no reverse route exists.
-    The backup's weighted search visits neighbours in port order. *)
+    The backup is {!Adjacency.penalized_route} around the reverse
+    primary. *)
 
 val count_paths : t -> max_len:int -> cap:int -> int
 (** Number of distinct simple src→dst routes of at most [max_len] switch

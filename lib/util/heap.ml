@@ -7,23 +7,23 @@ type ('k, 'v) t = {
   mutable next_seq : int;
 }
 
-let create ~compare = { compare; data = [||]; size = 0; next_seq = 0 }
+let[@dumbnet.hot] create ~compare = { compare; data = [||]; size = 0; next_seq = 0 }
 
 let size t = t.size
 
 let is_empty t = t.size = 0
 
 (* Order by key, then by insertion sequence for FIFO among equal keys. *)
-let less t a b =
+let[@dumbnet.hot] less t a b =
   let c = t.compare a.key b.key in
   c < 0 || (c = 0 && a.seq < b.seq)
 
-let swap t i j =
+let[@dumbnet.hot] swap t i j =
   let tmp = t.data.(i) in
   t.data.(i) <- t.data.(j);
   t.data.(j) <- tmp
 
-let rec sift_up t i =
+let[@dumbnet.hot] rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
     if less t t.data.(i) t.data.(parent) then begin
@@ -32,7 +32,7 @@ let rec sift_up t i =
     end
   end
 
-let rec sift_down t i =
+let[@dumbnet.hot] rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = if l < t.size && less t t.data.(l) t.data.(i) then l else i in
   let smallest = if r < t.size && less t t.data.(r) t.data.(smallest) then r else smallest in
@@ -41,7 +41,7 @@ let rec sift_down t i =
     sift_down t smallest
   end
 
-let grow t =
+let[@dumbnet.hot] grow t =
   let cap = Array.length t.data in
   let new_cap = if cap = 0 then 16 else 2 * cap in
   (* The dummy below is never read: size bounds all accesses. *)
@@ -49,7 +49,7 @@ let grow t =
   Array.blit t.data 0 data 0 t.size;
   t.data <- data
 
-let push t key value =
+let[@dumbnet.hot] push t key value =
   let entry = { key; seq = t.next_seq; value } in
   t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.data then
@@ -58,7 +58,7 @@ let push t key value =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let pop t =
+let[@dumbnet.hot] pop t =
   if t.size = 0 then None
   else begin
     let top = t.data.(0) in

@@ -29,7 +29,7 @@ let test_stp_paths_follow_tree () =
   let t = Stp.build g in
   List.iter
     (fun dst ->
-      match Stp.path t g ~src:0 ~dst with
+      match Stp.path t ~src:0 ~dst with
       | None -> Alcotest.fail "tree must connect all hosts"
       | Some p ->
         Alcotest.(check bool) "path validates" true (Path.validate g p);
@@ -44,7 +44,7 @@ let test_stp_paths_follow_tree () =
 let test_stp_same_host_none () =
   let b = Builder.testbed () in
   let t = Stp.build b.Builder.graph in
-  Alcotest.(check bool) "no self path" true (Stp.path t b.Builder.graph ~src:0 ~dst:0 = None)
+  Alcotest.(check bool) "no self path" true (Stp.path t ~src:0 ~dst:0 = None)
 
 let test_stp_reconvergence_after_cut () =
   let b = Builder.testbed () in
@@ -59,7 +59,7 @@ let test_stp_reconvergence_after_cut () =
   check Alcotest.int "still spans" 6 (List.length (Stp.tree_links t2));
   List.iter
     (fun dst ->
-      Alcotest.(check bool) "all hosts reachable" true (Stp.path t2 g ~src:0 ~dst <> None))
+      Alcotest.(check bool) "all hosts reachable" true (Stp.path t2 ~src:0 ~dst <> None))
     [ 5; 10; 20 ];
   Alcotest.(check bool) "convergence model positive" true (Stp.convergence_delay_ns g > 0)
 
@@ -67,7 +67,7 @@ let test_stp_old_tree_blackholes () =
   let b = Builder.testbed () in
   let g = b.Builder.graph in
   let t = Stp.build g in
-  match Stp.path t g ~src:0 ~dst:20 with
+  match Stp.path t ~src:0 ~dst:20 with
   | None -> Alcotest.fail "no path"
   | Some p -> (
     match p.Path.hops with
@@ -75,7 +75,7 @@ let test_stp_old_tree_blackholes () =
       Graph.set_link_state g { sw; port } ~up:false;
       (* The un-reconverged tree still serves the dead path: packets
          would blackhole, exactly the Fig 11(b) window. *)
-      (match Stp.path t g ~src:0 ~dst:20 with
+      (match Stp.path t ~src:0 ~dst:20 with
       | Some stale -> Alcotest.(check bool) "stale path now invalid" false (Path.validate g stale)
       | None -> Alcotest.fail "old tree should still answer")
     | [] -> Alcotest.fail "empty path")

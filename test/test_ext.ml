@@ -339,15 +339,16 @@ let test_vnet_verifier_blocks_escape () =
   let g = Dumbnet.Sim.Network.graph (Fabric.network fab) in
   let src = List.nth red 0 and dst = List.nth red 12 in
   (* A route through blue's spine (id 1). *)
-  let adj = Routing.graph_adjacency g in
+  let snap = Graph.adjacency g in
+  let mark = Bytes.make (Adjacency.id_bound snap) '\001' in
+  Bytes.set mark 0 '\000';
+  let switches = Array.of_list (List.filter (fun sw -> sw <> 0) (Graph.switch_ids g)) in
+  let no_spine0 = Adjacency.of_cables ~switches (Adjacency.induced snap mark) in
   let src_loc = Option.get (Graph.host_location g src) in
   let dst_loc = Option.get (Graph.host_location g dst) in
   let escape =
-    match
-      Routing.shortest_route_avoiding ~banned_nodes:(Switch_set.singleton 0) ~banned_edges:[]
-        adj ~src:src_loc.sw ~dst:dst_loc.sw
-    with
-    | Some route -> Option.get (Path.of_route ~adj ~src ~src_loc ~dst ~dst_loc route)
+    match Adjacency.shortest_route no_spine0 ~src:src_loc.sw ~dst:dst_loc.sw with
+    | Some route -> Option.get (Path.of_route no_spine0 ~src ~src_loc ~dst ~dst_loc route)
     | None -> Alcotest.fail "no escape route to test"
   in
   Alcotest.(check bool) "escape is valid fabric-wide" true (Path.validate g escape);

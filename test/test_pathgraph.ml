@@ -57,14 +57,14 @@ let test_detour_length_bound () =
   let src = List.nth b.Builder.hosts 0 and dst = List.nth b.Builder.hosts 63 in
   let pg = gen ~s ~eps g ~src ~dst in
   let primary = Pathgraph.primary pg in
-  let adj = Routing.graph_adjacency g in
+  let snap = Graph.adjacency g in
   let src_sw = List.hd (Path.switches primary) in
   let dst_sw = List.nth (Path.switches primary) (Path.length primary - 1) in
-  let d_src = Routing.bfs_distances adj ~from:src_sw in
-  let d_dst = Routing.bfs_distances adj ~from:dst_sw in
+  let d_src = Adjacency.bfs_distances snap ~from:src_sw in
+  let d_dst = Adjacency.bfs_distances snap ~from:dst_sw in
   Switch_set.iter
     (fun sw ->
-      let total = Hashtbl.find d_src sw + Hashtbl.find d_dst sw in
+      let total = Adjacency.distance d_src sw + Adjacency.distance d_dst sw in
       Alcotest.(check bool) "within detour budget" true
         (total <= Path.length primary - 1 + eps + s))
     (Pathgraph.switches pg)
@@ -75,11 +75,10 @@ let test_subgraph_connected () =
   let pg = gen g ~src:(List.nth b.Builder.hosts 3) ~dst:(List.nth b.Builder.hosts 60) in
   (* BFS inside the subgraph adjacency must reach every cached switch
      from the source switch. *)
-  let adj = Pathgraph.adjacency pg in
   let start = List.hd (Path.switches (Pathgraph.primary pg)) in
-  let d = Routing.bfs_distances adj ~from:start in
+  let d = Adjacency.bfs_distances (Pathgraph.adjacency pg) ~from:start in
   Switch_set.iter
-    (fun sw -> Alcotest.(check bool) "reachable in subgraph" true (Hashtbl.mem d sw))
+    (fun sw -> Alcotest.(check bool) "reachable in subgraph" true (Adjacency.distance d sw >= 0))
     (Pathgraph.switches pg)
 
 let test_find_route_after_failure () =
@@ -187,7 +186,9 @@ let agrees_with_model pg (w : Pathgraph.wire) cables =
   && List.for_all (Pathgraph.contains_link pg) keys
   && not (Pathgraph.contains_link pg probe_key)
   && List.for_all
-       (fun sw -> List.sort compare (Pathgraph.adjacency pg sw) = model_adjacency cables sw)
+       (fun sw ->
+         List.sort compare (Adjacency.neighbors (Pathgraph.adjacency pg) sw)
+         = model_adjacency cables sw)
        (List.init 8 Fun.id)
   && (Pathgraph.to_wire pg).Pathgraph.w_edges = cables
 
@@ -307,7 +308,7 @@ let failover_within_subgraph_prop =
 
 (* The reference the BFS shortcut must reproduce exactly. *)
 let penalized_route snap ~primary ~src ~dst =
-  Routing.weighted_route ~weight:(Routing.penalize primary) (Adjacency.fn snap) ~src ~dst
+  Adjacency.penalized_route snap ~penalty:Routing.primary_penalty ~avoid:primary ~src ~dst
 
 let random_fabric rng =
   let built =
@@ -337,7 +338,7 @@ let backup_search_prop =
         (fun _ ->
           let src = Rng.pick_array rng switches in
           let dst = Rng.pick_array rng switches in
-          match Routing.shortest_route ~rng (Adjacency.fn snap) ~src ~dst with
+          match Adjacency.shortest_route ~rng snap ~src ~dst with
           | None -> true
           | Some primary ->
             Routing.backup_route snap ~primary ~src ~dst
@@ -549,11 +550,8 @@ let shared_body_prop =
 let first_primary_cable pg =
   match (Pathgraph.primary pg).Path.hops with
   | (sw, out) :: _ :: _ ->
-    List.find_map
-      (fun (port, peer, peer_in) ->
-        if port = out then Some (Link_key.make { sw; port } { sw = peer; port = peer_in })
-        else None)
-      (Pathgraph.adjacency pg sw)
+    let le = { sw; port = out } in
+    Option.map (Link_key.make le) (Adjacency.peer_at (Pathgraph.adjacency pg) le)
   | [ _ ] | [] -> None
 
 let k_routes_digest g =
@@ -590,6 +588,71 @@ let test_golden_k_routes () =
     (k_routes_digest (golden_fat_tree ()));
   check Alcotest.string "jellyfish-64, one cable down" "14996ad33f8b95006d1b2fbd19a57c0e"
     (k_routes_digest (golden_jellyfish ()))
+
+(* --- golden digest of every route search --- *)
+
+(* The routes of every search a host or a baseline runs, for 96 seeded
+   pairs on each golden fabric: a cached graph's best route without an
+   overlay and with each cable of its primary failed, with and without
+   an RNG; its reversal's primary and backup; the whole graph's random
+   shortest route and k shortest routes; ECMP's equal-cost set and the
+   spanning tree's path. One RNG threads every call, so the number of
+   draws is pinned too. *)
+
+module Ecmp = Dumbnet.Baseline.Ecmp
+module Stp = Dumbnet.Baseline.Stp
+
+let routes_digest g =
+  let buf = Buffer.create 65536 in
+  let add_path = function
+    | None -> Buffer.add_string buf "none;"
+    | Some p ->
+      List.iter (fun (sw, tag) -> Printf.bprintf buf "%d:%d," sw tag) p.Path.hops;
+      Buffer.add_char buf ';'
+  in
+  let add_paths paths =
+    List.iter (fun p -> add_path (Some p)) paths;
+    Buffer.add_char buf '|'
+  in
+  let rng = Rng.create 13 in
+  let stp = Stp.build g in
+  Array.iter
+    (fun (src, dst) ->
+      (match Pathgraph.generate ~rng g ~src ~dst with
+      | None -> Buffer.add_string buf "no graph|"
+      | Some pg ->
+        add_path (Pathgraph.find_route pg);
+        add_path (Pathgraph.find_route ~rng pg);
+        let rec cables = function
+          | (sw, out) :: (_ :: _ as rest) ->
+            (match Graph.peer_port g { sw; port = out } with
+            | Some peer -> Link_key.make { sw; port = out } peer :: cables rest
+            | None -> cables rest)
+          | [ _ ] | [] -> []
+        in
+        List.iter
+          (fun key ->
+            let avoid = Link_set.singleton key in
+            add_path (Pathgraph.find_route ~avoid pg);
+            add_path (Pathgraph.find_route ~rng ~avoid pg))
+          (cables (Pathgraph.primary pg).Path.hops);
+        (match Pathgraph.reversed pg with
+        | None -> Buffer.add_string buf "no reverse|"
+        | Some r ->
+          add_path (Some (Pathgraph.primary r));
+          add_path (Pathgraph.backup r)));
+      add_path (Routing.host_route ~rng g ~src ~dst);
+      add_paths (Routing.k_host_paths g ~src ~dst ~k:3);
+      add_paths (Ecmp.equal_cost_paths g ~src ~dst);
+      add_path (Stp.path stp ~src ~dst))
+    (seeded_pairs g ~seed:2026 ~n:96);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_routes () =
+  check Alcotest.string "fat-tree k=8" "e67703fd8c6d1e0459c12f95cbc617f2"
+    (routes_digest (golden_fat_tree ()));
+  check Alcotest.string "jellyfish-64, one cable down" "69b1987cbdc075ad9620a52fad61ab1c"
+    (routes_digest (golden_jellyfish ()))
 
 let () =
   Alcotest.run "pathgraph"
@@ -633,6 +696,7 @@ let () =
           Alcotest.test_case "fat-tree k=8 digest" `Quick test_golden_fat_tree;
           Alcotest.test_case "jellyfish-64 digest" `Quick test_golden_jellyfish;
           Alcotest.test_case "k-routes digest" `Quick test_golden_k_routes;
+          Alcotest.test_case "route searches digest" `Quick test_golden_routes;
         ] );
       ("shared body", [ QCheck_alcotest.to_alcotest shared_body_prop ]);
     ]

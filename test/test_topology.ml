@@ -192,39 +192,38 @@ let test_builder_linear () =
 
 let test_bfs_distances () =
   let b = Builder.linear ~n:5 () in
-  let adj = Routing.graph_adjacency b.Builder.graph in
-  let d = Routing.bfs_distances adj ~from:0 in
-  check Alcotest.int "distance to end" 4 (Hashtbl.find d 4);
-  check Alcotest.int "distance to self" 0 (Hashtbl.find d 0)
+  let d = Adjacency.bfs_distances (Graph.adjacency b.Builder.graph) ~from:0 in
+  check Alcotest.int "distance to end" 4 (Adjacency.distance d 4);
+  check Alcotest.int "distance to self" 0 (Adjacency.distance d 0)
 
 let test_shortest_route () =
   let b = Builder.figure1 () in
-  let adj = Routing.graph_adjacency b.Builder.graph in
-  match Routing.shortest_route adj ~src:2 ~dst:3 with
+  match Adjacency.shortest_route (Graph.adjacency b.Builder.graph) ~src:2 ~dst:3 with
   | Some route -> check Alcotest.int "3 switches" 3 (List.length route)
   | None -> Alcotest.fail "no route"
 
 let test_shortest_route_same () =
   let b = Builder.linear ~n:2 () in
-  let adj = Routing.graph_adjacency b.Builder.graph in
   Alcotest.(check bool) "trivial route" true
-    (Routing.shortest_route adj ~src:0 ~dst:0 = Some [ 0 ])
+    (Adjacency.shortest_route (Graph.adjacency b.Builder.graph) ~src:0 ~dst:0 = Some [ 0 ])
 
-let test_shortest_route_avoiding () =
-  let b = Builder.figure1 () in
-  let adj = Routing.graph_adjacency b.Builder.graph in
+(* A switch is banned by routing on the subgraph its removal leaves. *)
+let test_route_without_switch () =
+  let g = (Builder.figure1 ()).Builder.graph in
+  let snap = Graph.adjacency g in
+  let mark = Bytes.make (Adjacency.id_bound snap) '\001' in
+  Bytes.set mark 0 '\000';
+  let switches = Array.of_list (List.filter (fun sw -> sw <> 0) (Graph.switch_ids g)) in
   match
-    Routing.shortest_route_avoiding ~banned_nodes:(Switch_set.singleton 0) ~banned_edges:[] adj
-      ~src:2 ~dst:3
+    Adjacency.shortest_route (Adjacency.of_cables ~switches (Adjacency.induced snap mark)) ~src:2
+      ~dst:3
   with
   | Some route -> Alcotest.(check bool) "avoids S1" true (not (List.mem 0 route))
   | None -> Alcotest.fail "no route"
 
-let test_weighted_route () =
-  let b = Builder.figure1 () in
-  let adj = Routing.graph_adjacency b.Builder.graph in
-  let weight (a : link_end) (b : link_end) = if a.sw = 0 || b.sw = 0 then 10. else 1. in
-  match Routing.weighted_route ~weight adj ~src:2 ~dst:3 with
+let test_penalized_route () =
+  let snap = Graph.adjacency (Builder.figure1 ()).Builder.graph in
+  match Adjacency.penalized_route snap ~penalty:10 ~avoid:[ 2; 0; 3 ] ~src:2 ~dst:3 with
   | Some route -> Alcotest.(check bool) "prefers cheap spine" true (List.mem 1 route)
   | None -> Alcotest.fail "no route"
 
@@ -312,13 +311,13 @@ let shortest_matches_bfs_prop =
     QCheck.(int_bound 10_000)
     (fun seed ->
       let b = random_built seed in
-      let adj = Routing.graph_adjacency b.Builder.graph in
+      let snap = Graph.adjacency b.Builder.graph in
       let switches = Graph.switch_ids b.Builder.graph in
       let src = List.hd switches and dst = List.nth switches (List.length switches - 1) in
-      let d = Routing.bfs_distances adj ~from:src in
-      match Routing.shortest_route adj ~src ~dst with
-      | Some route -> List.length route = Hashtbl.find d dst + 1
-      | None -> not (Hashtbl.mem d dst))
+      let d = Adjacency.bfs_distances snap ~from:src in
+      match Adjacency.shortest_route snap ~src ~dst with
+      | Some route -> List.length route = Adjacency.distance d dst + 1
+      | None -> Adjacency.distance d dst < 0)
 
 let k_shortest_valid_prop =
   QCheck.Test.make ~name:"k-shortest routes are valid concrete paths" ~count:50
@@ -437,6 +436,25 @@ let test_adjacency_cached_until_mutation () =
   Graph.set_link_state g le ~up:true;
   Alcotest.(check bool) "restore agrees too" true (snapshot_agrees g)
 
+(* A list BFS over the graph's port tables, the model of the CSR one. *)
+let model_distances g ~from =
+  let dist = Hashtbl.create 64 in
+  let rec level d = function
+    | [] -> ()
+    | frontier ->
+      List.iter (fun sw -> Hashtbl.replace dist sw d) frontier;
+      let next =
+        List.concat_map
+          (fun sw -> List.map (fun (_, peer, _) -> peer) (Graph.switch_neighbors g sw))
+          frontier
+        |> List.sort_uniq compare
+        |> List.filter (fun sw -> not (Hashtbl.mem dist sw))
+      in
+      level (d + 1) next
+  in
+  level 0 [ from ];
+  dist
+
 let test_adjacency_bfs_matches_routing () =
   let b = Builder.fat_tree ~k:4 () in
   let g = b.Builder.graph in
@@ -444,7 +462,7 @@ let test_adjacency_bfs_matches_routing () =
   List.iter
     (fun from ->
       let via_snap = Adjacency.bfs_distances snap ~from in
-      let via_lists = Routing.bfs_distances (Routing.graph_adjacency g) ~from in
+      let via_lists = model_distances g ~from in
       List.iter
         (fun sw ->
           let expected = Option.value ~default:(-1) (Hashtbl.find_opt via_lists sw) in
@@ -554,8 +572,8 @@ let () =
           Alcotest.test_case "bfs distances" `Quick test_bfs_distances;
           Alcotest.test_case "shortest route" `Quick test_shortest_route;
           Alcotest.test_case "trivial route" `Quick test_shortest_route_same;
-          Alcotest.test_case "avoiding" `Quick test_shortest_route_avoiding;
-          Alcotest.test_case "weighted" `Quick test_weighted_route;
+          Alcotest.test_case "avoiding" `Quick test_route_without_switch;
+          Alcotest.test_case "weighted" `Quick test_penalized_route;
           Alcotest.test_case "k-shortest" `Quick test_k_shortest;
           Alcotest.test_case "host route validates" `Quick test_host_route_and_validate;
           QCheck_alcotest.to_alcotest shortest_matches_bfs_prop;
